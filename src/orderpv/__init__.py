@@ -11,10 +11,8 @@ from .bcmc import (
     BinaryMatrix,
     ChainConfig,
     checkerboard_score,
-    cooccurrence_stat,
     generate_null_matrix,
     serial_pvalue,
-    swap_step,
 )
 from .combine import CombineResult, combine_pvalues, default_k, order_statistic
 from .correction import CombinerSpec, envelope, solve_combiner, tail_ratio
@@ -30,10 +28,8 @@ from .subsample import (
 from .validity import (
     SimConfig,
     SimReport,
-    adversarial_draw,
     adversarial_kernel,
     check_validity,
-    orderstat_cdf_check,
     tightness_scan,
     uniform_kernel,
 )
@@ -49,7 +45,6 @@ __all__ = [
     "PipelineResult",
     "SimConfig",
     "SimReport",
-    "adversarial_draw",
     "adversarial_kernel",
     "binom_pmf",
     "binom_upper_tail",
@@ -57,20 +52,17 @@ __all__ = [
     "checkerboard_score",
     "check_validity",
     "combine_pvalues",
-    "cooccurrence_stat",
     "default_k",
     "envelope",
     "generate_null_matrix",
     "make_bcmc_test",
     "order_statistic",
-    "orderstat_cdf_check",
     "pick_one_per_group",
     "rank_sum_test",
     "run_pipeline",
     "serial_pvalue",
     "solve_combiner",
     "subsample_pvalues",
-    "swap_step",
     "tail_ratio",
     "tightness_scan",
     "uniform_kernel",

@@ -82,38 +82,6 @@ def _check_swappable(shape):
         )
 
 
-def _distinct_pair(rng, size):
-    """Ordered pair of distinct indices, uniform over all such pairs."""
-    first = int(rng.integers(0, size))
-    second = int(rng.integers(0, size - 1))
-    if second >= first:
-        second += 1
-    return first, second
-
-
-def swap_step(mat, rng):
-    """One step of the checkerboard-swap chain.
-
-    Returns a new matrix when the sampled 2x2 corner pattern is a
-    checkerboard, otherwise the input matrix itself (lazy self-loop).
-    Row and column sums are preserved exactly in either case.
-    """
-    _check_swappable(mat.shape)
-    r, c = mat.shape
-    i1, i2 = _distinct_pair(rng, r)
-    j1, j2 = _distinct_pair(rng, c)
-    e = mat.entries
-    a, b = e[i1, j1], e[i1, j2]
-    if a != b and e[i2, j2] == a and e[i2, j1] == b:
-        flipped = e.copy()
-        flipped[i1, j1] = b
-        flipped[i2, j2] = b
-        flipped[i1, j2] = a
-        flipped[i2, j1] = a
-        return BinaryMatrix(flipped)
-    return mat
-
-
 def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
     """Run `steps` swap steps in place on `work`.
 
@@ -157,24 +125,13 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
     return count
 
 
-def cooccurrence_stat(mat):
-    """Total pairwise co-presences: sum over column pairs of joint 1-counts.
-
-    Equals the sum over rows of C(row_sum, 2), so it is determined by the
-    row margins alone and does not vary across the fixed-margin class; use
-    a custom statistic (e.g. `checkerboard_score`) when discriminating power
-    is needed.
-    """
-    e = _as_entries(mat)
-    overlap = e.T.astype(np.int64) @ e.astype(np.int64)
-    return int((overlap.sum() - np.trace(overlap)) // 2)
-
-
 def checkerboard_score(mat):
     """Mean over column pairs of (col_sum_j - overlap)(col_sum_j' - overlap).
 
-    The classic checkerboard statistic: large values mean column pairs tend
-    to avoid sharing rows.  Varies across the fixed-margin class.
+    The classic checkerboard statistic (C-score): large values mean column
+    pairs tend to avoid sharing rows.  Varies across the fixed-margin class,
+    which is what gives the serial test its power; it is the default
+    statistic of `ChainConfig`.
     """
     e = _as_entries(mat)
     c = e.shape[1]
@@ -197,7 +154,7 @@ class ChainConfig:
     """
 
     length: int
-    statistic: object = field(default=cooccurrence_stat)
+    statistic: object = field(default=checkerboard_score)
     seed: int = 0
 
     def __post_init__(self):

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 a requested check did not come out as expected,
 2 usage or data error, 3 internal numeric failure.  Every stochastic
 command echoes its seed; re-running with the same seed reproduces the
-output byte for byte, whatever --threads says.
+output byte for byte, and `validate` gives the same bytes whatever its
+--threads says.
 """
 
 import argparse
@@ -13,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .bcmc import BinaryMatrix, ChainConfig, checkerboard_score, cooccurrence_stat, serial_pvalue
+from .bcmc import BinaryMatrix, ChainConfig, serial_pvalue
 from .combine import combine_pvalues, default_k
-from .correction import CombinerSpec, solve_combiner
+from .correction import CombinerSpec, envelope, solve_combiner
 from .rngs import check_seed
 from .subsample import GroupedDataset, make_bcmc_test, rank_sum_test, run_pipeline
 from .validity import SimConfig, adversarial_kernel, check_validity, tightness_scan
@@ -26,8 +27,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "ORDERPV_SEED"
-
-STATISTICS = {"cooccurrence": cooccurrence_stat, "cscore": checkerboard_score}
 
 
 def _fmt(value, precision):
@@ -152,13 +151,16 @@ def read_binary_matrix(path):
 def _cmd_fnk(args):
     prec = args.precision
     spec = CombinerSpec.solve(args.n, args.k)
-    lower = (args.n / args.k) / (1.0 + 5.0 * args.k ** (-1.0 / 3.0))
+    # The envelope is linear in u below k/n, so its slopes are the bounds on
+    # the correction; a power of two below 1/n keeps the division exact.
+    probe = 2.0 ** -spec.n.bit_length()
+    lower, upper = envelope(spec.n, spec.k, probe)
     print(f"n = {spec.n}")
     print(f"k = {spec.k}")
     print(f"knee = {_fmt(spec.knee, prec)}")
     print(f"correction = {_fmt(spec.slope, prec)}")
-    print(f"correction_lower_bound = {_fmt(lower, prec)}")
-    print(f"correction_upper_bound = {_fmt(args.n / args.k, prec)}")
+    print(f"correction_lower_bound = {_fmt(lower / probe, prec)}")
+    print(f"correction_upper_bound = {_fmt(upper / probe, prec)}")
     for u in args.u or []:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"u = {u} outside [0, 1]")
@@ -255,11 +257,9 @@ def _cmd_subsample(args):
         test = rank_sum_test
     else:
         data = GroupedDataset(_make_bcmc_observations(args.file, keys, raw_groups))
-        test = make_bcmc_test(chain_length=args.chain_length, statistic=STATISTICS[args.stat])
+        test = make_bcmc_test(chain_length=args.chain_length)
     k = args.k if args.k is not None else default_k(args.n)
-    result = run_pipeline(
-        data, test, args.n, k=k, seed=seed, bins=args.bins, threads=args.threads
-    )
+    result = run_pipeline(data, test, args.n, k=k, seed=seed, bins=args.bins)
     print("# command = subsample")
     print(f"# seed = {seed}")
     print(f"# test = {args.test}")
@@ -295,7 +295,7 @@ def _cmd_bcmc(args):
     mat = read_binary_matrix(args.file)
     if min(mat.shape) < 2:
         raise ValueError(f"matrix must be at least 2x2, got {mat.shape[0]}x{mat.shape[1]}")
-    cfg = ChainConfig(length=args.chain_length, statistic=STATISTICS[args.stat], seed=seed)
+    cfg = ChainConfig(length=args.chain_length, seed=seed)
     if args.trace_out:
         pvalue, trace = serial_pvalue(mat, cfg, return_trace=True)
         with open(args.trace_out, "w") as fh:
@@ -309,7 +309,7 @@ def _cmd_bcmc(args):
     print(f"rows = {mat.shape[0]}")
     print(f"cols = {mat.shape[1]}")
     print(f"chain_length = {args.chain_length}")
-    print(f"statistic = {args.stat}")
+    print(f"statistic = {cfg.statistic.__name__}")
     if args.trace_out:
         print(f"trace = {args.trace_out}")
     print(f"pvalue = {_fmt(pvalue, prec)}")
@@ -374,16 +374,12 @@ def build_parser():
     p.add_argument("--hist-out", metavar="FILE", help="write the histogram CSV here")
     p.add_argument("--chain-length", type=int, default=1000,
                    help="chain length for --test bcmc (default 1000)")
-    p.add_argument("--stat", choices=sorted(STATISTICS), default="cooccurrence",
-                   help="statistic for --test bcmc")
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=_cmd_subsample)
 
     p = subs.add_parser("bcmc", help="serial Monte Carlo association test on a 0/1 matrix")
     p.add_argument("file", help="CSV of 0/1 values, optional header and label column")
     p.add_argument("--chain-length", type=int, default=10_000)
-    p.add_argument("--stat", choices=sorted(STATISTICS), default="cooccurrence")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trace-out", metavar="FILE", help="write the statistic trace CSV here")
     _add_common(p)

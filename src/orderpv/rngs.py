@@ -31,11 +31,6 @@ def stream(seed, index):
     return np.random.default_rng(ss)
 
 
-def split(seed, count):
-    """Generators for work units 0..count-1; equivalent to `stream` per index."""
-    return [stream(seed, i) for i in range(count)]
-
-
 def iter_chunks(total, size=CHUNK):
     """Yield (index, length) blocks covering `total` replications."""
     index = 0

@@ -8,18 +8,17 @@ collapses into a single valid summary.
 
 Base tests are callables ``test(observations, rng) -> float in [0, 1]``
 taking the picked per-block tuple; deterministic tests simply ignore `rng`.
-Each repetition runs on its own counter-derived stream, so results are
-reproducible and independent of scheduling.
+Repetition i always runs on the counter-derived stream keyed (seed, i), so
+results are reproducible and any single repetition can be recomputed alone.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .bcmc import BinaryMatrix, _serial_pvalue_rng, cooccurrence_stat
+from .bcmc import BinaryMatrix, _serial_pvalue_rng, checkerboard_score
 from .combine import CombineResult, combine_pvalues, default_k
 from .rngs import check_seed, stream
 
@@ -59,7 +58,7 @@ def pick_one_per_group(data, rng):
     return tuple(g[int(rng.integers(0, len(g)))] for g in data.groups)
 
 
-def subsample_pvalues(data, test, n, seed, threads=1):
+def subsample_pvalues(data, test, n, seed):
     """n independent repetitions of pick-then-test; conditionally i.i.d. given data.
 
     A repetition whose test raises, or returns a value outside [0, 1],
@@ -79,12 +78,7 @@ def subsample_pvalues(data, test, n, seed, threads=1):
             raise ValueError(f"base test returned {p!r} on repetition {i}, not in [0, 1]")
         return p
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, range(n)))
-    else:
-        values = [one(i) for i in range(n)]
-    return np.asarray(values, dtype=float)
+    return np.asarray([one(i) for i in range(n)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,7 @@ class PipelineResult:
     bin_counts: np.ndarray
 
 
-def run_pipeline(data, test, n, k=None, seed=0, bins=20, threads=1):
+def run_pipeline(data, test, n, k=None, seed=0, bins=20):
     """Subsample n p-values, combine them, and bin the sample for reporting.
 
     The histogram covers [0, 1] in `bins` equal cells and stands in for a
@@ -108,7 +102,7 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20, threads=1):
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    sample = subsample_pvalues(data, test, n, seed, threads=threads)
+    sample = subsample_pvalues(data, test, n, seed)
     combined = combine_pvalues(sample, default_k(n) if k is None else k)
     q1, q2, q3 = np.quantile(sample, [0.25, 0.5, 0.75])
     counts, edges = np.histogram(sample, bins=bins, range=(0.0, 1.0))
@@ -123,12 +117,24 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20, threads=1):
     )
 
 
+# Largest group count the exact rank-sum test accepts.  Its cached CDF table
+# holds (m/2 + 1) * (m(m+1)/2 + 1) float64 entries: 16 MB and about 0.2 s to
+# build at m = 200, growing as m^3 (about 2 GB near m = 1000).
+RANK_SUM_MAX_GROUPS = 200
+
+
 @lru_cache(maxsize=None)
 def _rank_sum_cdf(m1, m):
     """Exact CDF of the rank sum of a uniform m1-subset of ranks 1..m.
 
     cdf[w] = P(sum of chosen ranks <= w); computed by subset-sum counting.
+    Raises ValueError above `RANK_SUM_MAX_GROUPS` ranks, before allocating.
     """
+    if m > RANK_SUM_MAX_GROUPS:
+        raise ValueError(
+            f"the exact rank-sum test supports at most {RANK_SUM_MAX_GROUPS} "
+            f"groups, got {m}"
+        )
     max_sum = m * (m + 1) // 2
     ways = np.zeros((m1 + 1, max_sum + 1), dtype=float)
     ways[0, 0] = 1.0
@@ -136,14 +142,16 @@ def _rank_sum_cdf(m1, m):
         for j in range(min(m1, rank), 0, -1):
             ways[j, rank:] += ways[j - 1, : max_sum - rank + 1]
     cdf = np.cumsum(ways[m1]) / comb(m, m1)
-    return cdf
+    # rounding in the running sum can push the top entries past 1
+    return np.minimum(cdf, 1.0)
 
 
 def rank_sum_test(obs, rng):
     """Exact one-sided rank-sum test of the first half against the rest.
 
     Splits the m-tuple into its first floor(m/2) entries and the remainder,
-    and returns P(rank sum <= observed) under uniform ranking.  Ties are
+    and returns P(rank sum <= observed) under uniform ranking.  At most
+    `RANK_SUM_MAX_GROUPS` entries are accepted.  Ties are
     broken uniformly at random with `rng`, which keeps the null distribution
     of the ranks exact for any common marginal.  Small p-values mean the
     first half is stochastically smaller.
@@ -160,7 +168,7 @@ def rank_sum_test(obs, rng):
     return float(_rank_sum_cdf(m1, m)[w])
 
 
-def make_bcmc_test(chain_length=1000, statistic=cooccurrence_stat):
+def make_bcmc_test(chain_length=1000, statistic=checkerboard_score):
     """Base test running the serial Monte Carlo association test per pick.
 
     Each observation must be a 0/1 vector (one matrix row per block); the

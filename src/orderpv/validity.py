@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binom import binom_upper_tail
 from .correction import solve_combiner
 from .rngs import check_seed, iter_chunks, stream
 
@@ -87,22 +86,12 @@ class SimReport:
             fh.write(f"{a:.10g},{e:.10g},{s:.10g},{v}\n")
 
 
-def adversarial_draw(n, t, rng):
-    """One worst-case p-value vector at atom weight t.
-
-    Draws a shared x uniform on [0,1]; each of the n values independently
-    equals x*t with probability t, else is uniform on [t, 1].
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    x = rng.random()
-    atom = rng.random(n) < t
-    u = rng.random(n)
-    return np.where(atom, x * t, t + (1.0 - t) * u)
-
-
 def adversarial_kernel(n, t):
-    """Vectorized kernel for `adversarial_draw`: (rng, size) -> (size, n)."""
+    """Worst-case kernel at atom weight t: (rng, size) -> (size, n).
+
+    Each row draws a shared x uniform on [0,1]; each of its n values
+    independently equals x*t with probability t, else is uniform on [t, 1].
+    """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
 
@@ -174,51 +163,6 @@ def check_validity(cfg, f, kernel, threads=1):
         verdict=verdict,
         reps=cfg.reps,
         seed=cfg.seed,
-    )
-
-
-@dataclass(frozen=True)
-class OrderStatCheck:
-    """Monte Carlo check of P(k-th smallest of n uniforms <= q) against the binomial tail."""
-
-    n: int
-    k: int
-    q: float
-    reps: int
-    seed: int
-    empirical: float
-    expected: float
-    std_err: float
-    zscore: float
-
-
-def orderstat_cdf_check(n, k, q, reps, seed):
-    """Compare the empirical order-statistic CDF at q with the binomial tail.
-
-    Draws `reps` vectors of n i.i.d. uniforms, takes the k-th smallest of
-    each, and z-scores the hit fraction of [0, q] against
-    ``P(Bin(n, q) >= k)``.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
-    expected = binom_upper_tail(n, k, q)
-
-    hits = 0
-    for index, size in iter_chunks(reps):
-        rng = stream(seed, index)
-        u = rng.random((size, n))
-        kth = np.partition(u, k - 1, axis=1)[:, k - 1]
-        hits += int(np.count_nonzero(kth <= q))
-
-    empirical = hits / reps
-    se = float(np.sqrt(expected * (1.0 - expected) / reps))
-    if se > 0.0:
-        z = (empirical - expected) / se
-    else:
-        z = 0.0 if empirical == expected else float("inf")
-    return OrderStatCheck(
-        n=n, k=k, q=float(q), reps=reps, seed=seed,
-        empirical=empirical, expected=expected, std_err=se, zscore=float(z),
     )
 
 

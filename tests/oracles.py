@@ -65,17 +65,6 @@ def rank_sum_null_cdf_bruteforce(m1, m):
     return np.array([(sums <= w).mean() for w in range(max_sum + 1)])
 
 
-def pairwise_copresence_bruteforce(entries):
-    """Total co-presences by explicit loops over column pairs."""
-    e = np.asarray(entries)
-    total = 0
-    c = e.shape[1]
-    for j1 in range(c):
-        for j2 in range(j1 + 1, c):
-            total += int((e[:, j1] * e[:, j2]).sum())
-    return total
-
-
 def checkerboard_score_bruteforce(entries):
     """Mean over column pairs of (colsum_j - overlap)(colsum_j2 - overlap)."""
     e = np.asarray(entries)

@@ -15,6 +15,7 @@ from orderpv.bcmc import (
     checkerboard_score,
     generate_null_matrix,
 )
+from orderpv.binom import binom_upper_tail
 from orderpv.correction import CombinerSpec, envelope, solve_combiner, tail_ratio
 from orderpv.rngs import stream
 from orderpv.subsample import GroupedDataset, rank_sum_test, run_pipeline
@@ -22,8 +23,8 @@ from orderpv.validity import (
     SimConfig,
     adversarial_kernel,
     check_validity,
-    orderstat_cdf_check,
     tightness_scan,
+    uniform_kernel,
 )
 
 from oracles import enumerate_margin_class
@@ -131,8 +132,14 @@ def test_criterion_08_order_statistic_identity():
         n = int(rng.integers(2, 101))
         k = int(rng.integers(1, n + 1))
         q = float(rng.uniform(0.05, 0.95))
-        chk = orderstat_cdf_check(n, k, q, 100_000, seed=900 + i)
-        worst_z = max(worst_z, abs(chk.zscore))
+        reps = 100_000
+        cfg = SimConfig(n, k, reps, 900 + i, alpha_grid=np.array([q]))
+        report = check_validity(cfg, lambda u: u, uniform_kernel(n))
+        empirical = report.empirical_cdf[0]
+        expected = binom_upper_tail(n, k, q)
+        if empirical != expected:  # a tail of exactly 0 or 1 has no spread
+            se = np.sqrt(expected * (1.0 - expected) / reps)
+            worst_z = max(worst_z, abs(empirical - expected) / se)
     ok = worst_z <= 3.0
     verdict(8, f"order-statistic CDF matches binomial tail, 10 random triples at 1e5 reps "
                f"(worst |z| = {worst_z:.2f})", ok)

@@ -1,6 +1,7 @@
 import numpy as np
 
-from orderpv import cli
+from orderpv import cli, generate_null_matrix
+from orderpv.subsample import RANK_SUM_MAX_GROUPS
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +207,14 @@ class TestSubsample:
         )
         assert code == 2 and "nope" in err
 
+    def test_too_many_ranksum_groups_exit_two(self, tmp_path, capsys):
+        m = RANK_SUM_MAX_GROUPS + 1
+        path = write_grouped(tmp_path / "g.csv", [(f"g{j}", j / m) for j in range(m)])
+        code, _, err = run_cli(
+            capsys, "subsample", path, "--group-col", "day", "--n", "3", "--k", "2"
+        )
+        assert code == 2 and str(RANK_SUM_MAX_GROUPS) in err
+
     def test_ranksum_needs_single_column(self, tmp_path, capsys):
         path = write_grouped(
             tmp_path / "g.csv", [("a", 0.5, 0.2), ("b", 0.1, 0.9)], header="day,x,y"
@@ -241,7 +250,7 @@ class TestBcmc:
             "2006-02-04,0,0,1\n"
         )
         code, out, _ = run_cli(
-            capsys, "bcmc", str(path), "--chain-length", "500", "--stat", "cscore", "--seed", "4"
+            capsys, "bcmc", str(path), "--chain-length", "500", "--seed", "4"
         )
         assert code == 0
         assert "rows = 4" in out and "cols = 3" in out
@@ -251,13 +260,21 @@ class TestBcmc:
         mat = (rng.random((20, 5)) < 0.4).astype(int)
         path = tmp_path / "m.csv"
         path.write_text("\n".join(",".join(map(str, row)) for row in mat) + "\n")
-        args = ["bcmc", str(path), "--chain-length", "1000", "--stat", "cscore", "--seed", "12"]
+        args = ["bcmc", str(path), "--chain-length", "1000", "--seed", "12"]
         code, out1, _ = run_cli(capsys, *args)
         assert code == 0
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
         value = float(out1.split("pvalue = ")[1].strip())
         assert 0 < value <= 1 and abs(value * 1000 - round(value * 1000)) < 1e-9
+
+    def test_default_statistic_has_power(self, tmp_path, capsys):
+        mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(",".join(map(str, row)) for row in mat.entries) + "\n")
+        code, out, _ = run_cli(capsys, "bcmc", str(path), "--chain-length", "2000", "--seed", "0")
+        assert code == 0
+        assert float(out.split("pvalue = ")[1].strip()) < 1.0
 
     def test_trace_file(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

@@ -3,13 +3,12 @@ import io
 import numpy as np
 import pytest
 
+from orderpv.binom import binom_upper_tail
 from orderpv.correction import solve_combiner
 from orderpv.validity import (
     SimConfig,
-    adversarial_draw,
     adversarial_kernel,
     check_validity,
-    orderstat_cdf_check,
     tightness_scan,
     uniform_kernel,
 )
@@ -34,10 +33,10 @@ class TestSimConfig:
 class TestAdversarialKernel:
     def test_degenerate_weights(self):
         rng = np.random.default_rng(0)
-        free = adversarial_draw(6, 0.0, rng)
-        assert free.shape == (6,) and np.all((free >= 0) & (free <= 1))
-        pinned = adversarial_draw(6, 1.0, rng)
-        assert np.all(pinned == pinned[0])
+        free = adversarial_kernel(6, 0.0)(rng, 5)
+        assert free.shape == (5, 6) and np.all((free >= 0) & (free <= 1))
+        pinned = adversarial_kernel(6, 1.0)(rng, 5)
+        assert np.all(pinned == pinned[:, :1])
 
     def test_kernel_matches_draw_shape(self):
         kern = adversarial_kernel(4, 0.3)
@@ -58,7 +57,7 @@ class TestAdversarialKernel:
         with pytest.raises(ValueError):
             adversarial_kernel(3, 1.5)
         with pytest.raises(ValueError):
-            adversarial_draw(3, -0.1, np.random.default_rng(0))
+            adversarial_kernel(3, -0.1)
 
 
 class TestCheckValidity:
@@ -120,24 +119,32 @@ class TestCheckValidity:
         assert len(lines) == 2 + cfg.alpha_grid.size
 
 
+def orderstat_zscore(n, k, q, reps, seed):
+    """z-score of the k-th of n uniforms' empirical CDF at q against P(Bin(n, q) >= k)."""
+    cfg = SimConfig(n, k, reps, seed, alpha_grid=np.array([q]))
+    report = check_validity(cfg, lambda u: u, uniform_kernel(n))
+    empirical = report.empirical_cdf[0]
+    expected = binom_upper_tail(n, k, q)
+    if empirical == expected:  # a tail of exactly 0 or 1 has no spread
+        return 0.0
+    return (empirical - expected) / np.sqrt(expected * (1.0 - expected) / reps)
+
+
 class TestOrderStatCdfCheck:
     def test_single_uniform(self):
-        chk = orderstat_cdf_check(1, 1, 0.3, 50_000, 1)
-        assert chk.expected == pytest.approx(0.3, abs=1e-14)
-        assert abs(chk.zscore) <= 3.0
+        assert binom_upper_tail(1, 1, 0.3) == pytest.approx(0.3, abs=1e-14)
+        assert abs(orderstat_zscore(1, 1, 0.3, 50_000, 1)) <= 3.0
 
     def test_both_of_two(self):
-        chk = orderstat_cdf_check(2, 2, 0.5, 50_000, 2)
-        assert chk.expected == pytest.approx(0.25, abs=1e-14)
-        assert abs(chk.zscore) <= 3.0
+        assert binom_upper_tail(2, 2, 0.5) == pytest.approx(0.25, abs=1e-14)
+        assert abs(orderstat_zscore(2, 2, 0.5, 50_000, 2)) <= 3.0
 
     def test_moderate_case(self):
-        chk = orderstat_cdf_check(20, 7, 0.3, 100_000, 3)
-        assert abs(chk.zscore) <= 3.0
+        assert abs(orderstat_zscore(20, 7, 0.3, 100_000, 3)) <= 3.0
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
-            orderstat_cdf_check(5, 2, 1.3, 100, 0)
+            orderstat_zscore(5, 2, 1.3, 100, 0)
 
 
 class TestTightnessScan:
