@@ -9,15 +9,8 @@ All functions accept a scalar or array ``p`` and return a matching float or
 ndarray.  ``n`` and ``k`` are scalars.
 """
 
-import math
-
 import numpy as np
 from scipy import special, stats
-
-# Above this n, cancellation in the log-gamma route exceeds the 1e-12
-# relative-error target (measured ~1.2e-12 at n=1000), so we switch to
-# scipy's slower dedicated algorithm (~1e-15 up to n=1e6).
-_LGAMMA_MAX_N = 500
 
 
 def _check_n(n, n_min=1):
@@ -47,31 +40,14 @@ def _as_result(flat, p_in):
 def binom_pmf(n, k, p):
     """Probability of exactly k successes in n trials at success rate p.
 
-    Relative error is at most 1e-12 for n up to 1e6.  Endpoints follow the
-    0^0 = 1 convention: the mass sits entirely at k=0 (p=0) or k=n (p=1).
+    One call to scipy's binomial pmf; its relative error is at most 1e-12 for
+    n up to 1e6.  Endpoints follow the 0^0 = 1 convention: the mass sits
+    entirely at k=0 (p=0) or k=n (p=1).
     """
     n = _check_n(n, n_min=0)
     k = _check_k(k, n, 0)
     parr = _check_p(p).ravel()
-
-    interior = (parr > 0.0) & (parr < 1.0)
-    out = np.zeros_like(parr)
-    # Endpoints fixed analytically so no 0*log(0) is ever formed.
-    if k == 0:
-        out[parr == 0.0] = 1.0
-    if k == n:
-        out[parr == 1.0] = 1.0
-    if np.any(interior):
-        pi = parr[interior]
-        if n <= _LGAMMA_MAX_N:
-            log_coeff = (
-                math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            )
-            log_pmf = log_coeff + k * np.log(pi) + (n - k) * np.log1p(-pi)
-            out[interior] = np.exp(log_pmf)
-        else:
-            out[interior] = stats.binom.pmf(k, n, pi)
-    return _as_result(out, p)
+    return _as_result(stats.binom.pmf(k, n, parr), p)
 
 
 def binom_upper_tail(n, k, p):
@@ -80,16 +56,12 @@ def binom_upper_tail(n, k, p):
     Evaluated through the regularized incomplete beta identity
     ``P(Bin(n, p) >= k) = I_p(k, n - k + 1)``, which keeps absolute error
     near machine precision over the whole range.  Exactly 0 at p=0 and
-    exactly 1 at p=1.
+    exactly 1 at p=1, as ``betainc`` is for parameters >= 1.
     """
     n = _check_n(n)
     k = _check_k(k, n, 1)
     parr = _check_p(p).ravel()
-
-    out = special.betainc(k, n - k + 1, parr)
-    out = np.where(parr == 0.0, 0.0, out)
-    out = np.where(parr == 1.0, 1.0, out)
-    return _as_result(out, p)
+    return _as_result(special.betainc(k, n - k + 1, parr), p)
 
 
 def binom_upper_tail_derivative(n, k, p):

@@ -104,9 +104,12 @@ def read_grouped_csv(path, group_col):
 
 def _to_float(path, lineno, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"{path}: line {lineno}: cannot parse {text!r} as a number") from None
+    if not np.isfinite(value):
+        raise ValueError(f"{path}: line {lineno}: non-finite value {text!r}")
+    return value
 
 
 def _to_bit(path, lineno, text):
@@ -358,7 +361,7 @@ def build_parser():
                    help="scale the correction by this factor; < 1 expects violations")
     p.add_argument("--out", metavar="FILE", help="write the report CSV here instead of stdout")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; never changes the result")
+                   help="worker threads (>= 1); never changes the result")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
 

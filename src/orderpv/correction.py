@@ -5,8 +5,8 @@ of them is not itself a valid p-value; the smallest increasing transform that
 repairs it is piecewise: a straight line of slope ``c`` up to a knee ``p*``,
 then the binomial upper tail ``P(Bin(n, u) >= k)``.  The pair ``(p*, c)`` is
 found by maximizing the tail ratio ``P(Bin(n, p) >= k) / p`` over p, which is
-unimodal, so the stationarity condition has a single sign change and plain
-bisection is unconditionally convergent.
+unimodal, so the stationarity condition has a single sign change on a fixed
+bracket and Brent's root finder converges on it.
 
 The resulting map is a continuous increasing bijection of [0,1] onto [0,1],
 bounded above by ``min(1, n*u/k)`` (so "twice the left sample median" is
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .binom import (
     _as_result,
@@ -30,6 +30,11 @@ from .binom import (
 )
 
 DEFAULT_TOL = 1e-12
+
+# brentq stops once the bracket is narrower than xtol + rtol*|knee|, and its
+# rtol floor of 4 eps adds under 1e-15 on [0, 1]; half the tolerance leaves
+# room for that term.
+_XTOL = DEFAULT_TOL / 2
 
 
 def tail_ratio(n, k, p):
@@ -47,6 +52,11 @@ def tail_ratio(n, k, p):
     out[pos] = binom_upper_tail(n, k, parr[pos]) / parr[pos]
     out[~pos] = float(n) if k == 1 else 0.0
     return _as_result(out, p)
+
+
+def _stationarity(p, n, k):
+    """w(p) = p * tail'(p) - tail(p): zero where the tail ratio peaks."""
+    return p * binom_upper_tail_derivative(n, k, p) - binom_upper_tail(n, k, p)
 
 
 @dataclass(frozen=True)
@@ -77,19 +87,18 @@ class CombinerSpec:
             raise ValueError(f"slope must be >= 1, got {self.slope}")
 
     @classmethod
-    def solve(cls, n, k, tol=DEFAULT_TOL):
-        """Locate the knee to absolute precision `tol` and the slope there.
+    def solve(cls, n, k):
+        """Locate the knee to absolute precision DEFAULT_TOL and the slope there.
 
         The stationarity function ``w(p) = p * tail' (p) - tail(p)`` is
-        strictly decreasing on [(k-1)/(n-1), 1], so its root is bracketed by
-        a sign check at the endpoints and found by bisection.  Degenerate
-        configurations are dispatched analytically: k = n gives the identity
-        correction (knee 1, slope 1) and k = 1 gives slope n at knee 0.
+        strictly decreasing on [(k-1)/(n-1), 1], positive at the left end and
+        -1 at the right, so Brent's method finds its root in that bracket.
+        Degenerate configurations are dispatched analytically: k = n gives
+        the identity correction (knee 1, slope 1) and k = 1 gives slope n at
+        knee 0.
         """
         n = _check_n(n)
         k = _check_k(k, n, 1)
-        if not 0.0 < tol <= 1e-6:
-            raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
 
         if n == 1:
             return cls(1, 1, 0.0, 1.0)
@@ -98,23 +107,7 @@ class CombinerSpec:
         if k == 1:
             return cls(n, k, 0.0, float(n))
 
-        def stationarity(p):
-            return p * binom_upper_tail_derivative(n, k, p) - binom_upper_tail(n, k, p)
-
-        lo = (k - 1) / (n - 1)
-        hi = 1.0
-        if stationarity(lo) <= 0.0:
-            knee = lo
-        elif stationarity(hi) >= 0.0:
-            knee = hi
-        else:
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if stationarity(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            knee = 0.5 * (lo + hi)
+        knee = optimize.brentq(_stationarity, (k - 1) / (n - 1), 1.0, args=(n, k), xtol=_XTOL)
         return cls(n, k, knee, tail_ratio(n, k, knee))
 
     def apply(self, u):
@@ -149,9 +142,9 @@ class CombinerSpec:
 
 
 @lru_cache(maxsize=None)
-def solve_combiner(n, k, tol=DEFAULT_TOL):
-    """Cached CombinerSpec.solve; repeated combinations skip the bisection."""
-    return CombinerSpec.solve(n, k, tol)
+def solve_combiner(n, k):
+    """Cached CombinerSpec.solve; repeated combinations skip the root search."""
+    return CombinerSpec.solve(n, k)
 
 
 def envelope(n, k, u):

@@ -132,14 +132,17 @@ def check_validity(cfg, f, kernel, threads=1):
     kernel : callable
         ``kernel(rng, size) -> (size, n)`` of conditionally i.i.d. p-values.
     threads : int
-        Worker threads over replication blocks; any value yields the same
-        report because block streams are fixed and the tallies are summed.
+        Worker threads over replication blocks, at least 1; any count yields
+        the same report because block streams are fixed and the tallies are
+        summed.
 
     Returns
     -------
     SimReport
         Violation is declared where empirical_cdf > alpha + 3 * std_err.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     chunks = list(iter_chunks(cfg.reps))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

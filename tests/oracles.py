@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import numpy as np
 
 
@@ -25,6 +26,29 @@ def exact_upper_tail(n, k, p_num, p_den):
     else:
         total = 1 - sum(comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(k))
     return float(total)
+
+
+def exact_knee(n, k):
+    """Knee of the correction by 40-digit bisection, for 1 < k < n.
+
+    The root of w(p) = k C(n, k) p^k (1-p)^(n-k) - I_p(k, n-k+1), i.e.
+    p * tail'(p) - tail(p), on the bracket [(k-1)/(n-1), 1].
+    """
+    with mpmath.workdps(40):
+        coeff = k * mpmath.binomial(n, k)
+
+        def w(p):
+            density = coeff * p**k * (1 - p) ** (n - k)
+            return density - mpmath.betainc(k, n - k + 1, 0, p, regularized=True)
+
+        lo, hi = mpmath.mpf(k - 1) / (n - 1), mpmath.mpf(1)
+        while hi - lo > mpmath.mpf("1e-32"):
+            mid = (lo + hi) / 2
+            if w(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
 
 
 def central_difference(f, x, h=1e-6):

@@ -140,6 +140,19 @@ class TestValidate:
         assert code == 0
         assert "# seed = 314" in out
 
+    def test_thread_count_below_one_exit_two(self, capsys):
+        for threads in ("0", "-2"):
+            code, _, err = run_cli(
+                capsys, "validate", "--n", "4", "--k", "2", "--reps", "100",
+                "--threads", threads,
+            )
+            assert code == 2 and "threads" in err
+        code, _, err = run_cli(
+            capsys, "validate", "--n", "4", "--k", "2", "--reps", "100",
+            "--shrink", "0.5", "--threads", "0",
+        )
+        assert code == 2 and "threads" in err
+
     def test_bad_shrink_exit_two(self, capsys):
         code, _, _ = run_cli(
             capsys, "validate", "--n", "4", "--k", "2", "--reps", "100", "--shrink", "1.5"
@@ -214,6 +227,14 @@ class TestSubsample:
             capsys, "subsample", path, "--group-col", "day", "--n", "3", "--k", "2"
         )
         assert code == 2 and str(RANK_SUM_MAX_GROUPS) in err
+
+    def test_non_finite_score_names_line(self, tmp_path, capsys):
+        for bad in ("nan", "inf", "-inf"):
+            rows = [("a", 0.1), ("a", 0.2), ("b", bad), ("c", 0.5), ("d", 0.7)]
+            path = write_grouped(tmp_path / "g.csv", rows, header="g,score")
+            code, out, err = run_cli(capsys, "subsample", path, "--group-col", "g", "--n", "20")
+            assert code == 2 and "line 4" in err and bad in err
+            assert "summary" not in out
 
     def test_ranksum_needs_single_column(self, tmp_path, capsys):
         path = write_grouped(

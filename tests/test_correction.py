@@ -3,9 +3,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from orderpv.binom import binom_upper_tail
-from orderpv.correction import CombinerSpec, envelope, solve_combiner, tail_ratio
+from orderpv.combine import default_k
+from orderpv.correction import (
+    DEFAULT_TOL,
+    CombinerSpec,
+    _stationarity,
+    envelope,
+    solve_combiner,
+    tail_ratio,
+)
 
-# Solved to 1e-12 by bisection here; the published reference rounds it to 1.846.
+from oracles import exact_knee
+
+# Solved to 1e-12 by the root finder here; the published reference rounds it to 1.846.
 SLOPE_1000_500 = 1.8463229261629466
 
 
@@ -60,6 +70,17 @@ class TestSolve:
         spec = CombinerSpec.solve(n, k)
         assert (k - 1) / (n - 1) - 1e-12 <= spec.knee <= 1.0
 
+    @pytest.mark.parametrize("n,k", [(4, 2), (10, 5), (31, 8), (317, 200), (1000, 500)])
+    def test_knee_matches_exact_oracle(self, n, k):
+        assert abs(CombinerSpec.solve(n, k).knee - exact_knee(n, k)) <= DEFAULT_TOL
+
+    def test_stationarity_changes_sign_across_bracket(self):
+        # the root finder needs w > 0 at (k-1)/(n-1) and w < 0 at 1
+        pairs = [(n, k) for n in range(3, 201) for k in range(2, n)]
+        pairs += [(n, default_k(n)) for n in (1000, 5000, 10_000)]
+        for n, k in pairs:
+            assert _stationarity((k - 1) / (n - 1), n, k) > 0.0 > _stationarity(1.0, n, k), (n, k)
+
     @pytest.mark.parametrize("n,k", [(5, 3), (10, 5), (40, 13), (317, 200)])
     def test_slope_matches_grid_maximum(self, n, k):
         spec = CombinerSpec.solve(n, k)
@@ -86,10 +107,6 @@ class TestSolve:
             CombinerSpec.solve(5, 0)
         with pytest.raises(ValueError):
             CombinerSpec.solve(5, 6)
-        with pytest.raises(ValueError):
-            CombinerSpec.solve(5, 2, tol=1e-3)
-        with pytest.raises(ValueError):
-            CombinerSpec.solve(5, 2, tol=0.0)
 
 
 class TestApply:

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from orderpv.bcmc import BinaryMatrix, ChainConfig, _advance, serial_pvalue
-from orderpv.correction import envelope, solve_combiner
+from orderpv.correction import envelope, solve_combiner, tail_ratio
 
 # Each example of the correction properties may solve a fresh (n, k).
 SOLVE_SETTINGS = settings(max_examples=40, deadline=None)
 CHAIN_SETTINGS = settings(max_examples=60, deadline=None)
+# About 1 s: each example solves a fresh (n, k) with n up to 10^4.
+LARGE_N_SETTINGS = settings(max_examples=300, deadline=None)
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -49,6 +51,16 @@ def test_envelope_sandwich(nk, u):
     lower, upper = envelope(*nk, u)
     value = spec.apply(u)
     assert lower * (1.0 - 1e-12) <= value <= upper * (1.0 + 1e-12)
+
+
+@LARGE_N_SETTINGS
+@given(n_and_k(10_000), unit, st.floats(min_value=-1e-3, max_value=1e-3))
+def test_slope_is_maximum_of_tail_ratio(nk, p, offset):
+    # beyond the reach of the exact knee oracle: no p, anywhere or right
+    # beside the knee, beats the solved knee
+    spec = solve_combiner(*nk)
+    near = min(1.0, max(0.0, spec.knee + offset))
+    assert np.max(tail_ratio(*nk, [p, near])) <= spec.slope * (1.0 + 1e-12)
 
 
 @CHAIN_SETTINGS

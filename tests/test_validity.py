@@ -108,6 +108,12 @@ class TestCheckValidity:
         assert np.array_equal(one.empirical_cdf, pooled.empirical_cdf)
         assert one.verdict == pooled.verdict
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_thread_count_below_one(self, threads):
+        cfg = SimConfig(n=4, k=2, reps=100, seed=0)
+        with pytest.raises(ValueError, match="threads"):
+            check_validity(cfg, lambda u: u, uniform_kernel(4), threads=threads)
+
     def test_report_csv_layout(self):
         cfg = SimConfig(n=2, k=1, reps=1000, seed=5)
         report = check_validity(cfg, lambda u: np.minimum(1, 2 * u), uniform_kernel(2))
@@ -166,3 +172,8 @@ class TestTightnessScan:
             tightness_scan(4, 2, 0.0, 100, 0)
         with pytest.raises(ValueError):
             tightness_scan(4, 2, 1.1, 100, 0)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            tightness_scan(4, 2, 0.5, 100, 0, threads=threads)
