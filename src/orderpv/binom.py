@@ -10,7 +10,7 @@ ndarray.  ``n`` and ``k`` are scalars.
 """
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 
 def _check_n(n, n_min=1):
@@ -47,6 +47,10 @@ def binom_pmf(n, k, p):
     n = _check_n(n, n_min=0)
     k = _check_k(k, n, 0)
     parr = _check_p(p).ravel()
+    # Imported here, not at module level: scipy.stats adds about 0.3 s and
+    # 22 MB to `import orderpv`, and nothing else in the package needs it.
+    from scipy import stats
+
     return _as_result(stats.binom.pmf(k, n, parr), p)
 
 

@@ -322,8 +322,18 @@ def _cmd_bcmc(args):
 # ---------------------------------------------------------------- wiring
 
 
+def _precision(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"precision must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("precision must be >= 0")
+    return value
+
+
 def _add_common(sub):
-    sub.add_argument("--precision", type=int, default=6, metavar="DIGITS",
+    sub.add_argument("--precision", type=_precision, default=6, metavar="DIGITS",
                      help="significant digits in numeric output (default 6)")
 
 

@@ -26,7 +26,6 @@ from .binom import (
     _check_n,
     _check_p,
     binom_upper_tail,
-    binom_upper_tail_derivative,
 )
 
 DEFAULT_TOL = 1e-12
@@ -55,8 +54,16 @@ def tail_ratio(n, k, p):
 
 
 def _stationarity(p, n, k):
-    """w(p) = p * tail'(p) - tail(p): zero where the tail ratio peaks."""
-    return p * binom_upper_tail_derivative(n, k, p) - binom_upper_tail(n, k, p)
+    """w(p) = p * tail'(p) - tail(p): zero where the tail ratio peaks.
+
+    With tail(p) = I_p(k, n-k+1), p * tail'(p) = k * pmf(k) and pmf(k) =
+    I_p(k, n-k+1) - I_p(k+1, n-k), so for k < n
+
+        w(p) = (k-1) * I_p(k, n-k+1) - k * I_p(k+1, n-k),
+
+    two regularized incomplete beta calls and no binomial pmf.
+    """
+    return (k - 1) * special.betainc(k, n - k + 1, p) - k * special.betainc(k + 1, n - k, p)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,16 @@ assumption for the base test.  Repeating the draw n times with fresh
 randomness yields n conditionally i.i.d. p-values, which `combine_pvalues`
 collapses into a single valid summary.
 
-Base tests are callables ``test(observations, rng) -> float in [0, 1]``
-taking the picked per-block tuple; deterministic tests simply ignore `rng`.
-Repetition i always runs on the counter-derived stream keyed (seed, i), so
-results are reproducible and any single repetition can be recomputed alone.
+Repetitions run in blocks of `rngs.CHUNK`.  Block b draws all its picks, and
+the base test draws whatever randomness it needs, from the counter-derived
+stream keyed (seed, b), so results are reproducible and any block can be
+recomputed alone.  Base tests are callables ``test(picks, rng) -> (b,)``:
+`picks` holds one row per repetition with one observation per group, shape
+``(b, m, ...)``, and the result is one p-value in [0, 1] per row.
+Deterministic tests simply ignore `rng`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -20,25 +23,42 @@ import numpy as np
 
 from .bcmc import BinaryMatrix, _serial_pvalue_rng, checkerboard_score
 from .combine import CombineResult, combine_pvalues, default_k
-from .rngs import check_seed, stream
+from .rngs import CHUNK, iter_chunks, stream
 
 
 @dataclass
 class GroupedDataset:
     """Observations partitioned into blocks with arbitrary within-block dependence.
 
-    `groups` is a list of non-empty sequences; the observations themselves
-    are opaque to this module.
+    `groups` is a list of non-empty sequences.  The observations are stacked
+    once into one array, so they must share a shape: scalars, or equal-length
+    vectors, and so on.
     """
 
     groups: list
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.groups:
             raise ValueError("need at least one group")
+        blocks = []
         for j, g in enumerate(self.groups):
             if len(g) < 1:
                 raise ValueError(f"group {j} is empty")
+            try:
+                block = np.asarray(g)
+            except ValueError:
+                raise ValueError(f"group {j}: observations of different shapes") from None
+            if blocks and block.shape[1:] != blocks[0].shape[1:]:
+                raise ValueError(
+                    f"group {j}: observations of shape {block.shape[1:]}, "
+                    f"group 0 has {blocks[0].shape[1:]}"
+                )
+            blocks.append(block)
+        self._stacked = np.concatenate(blocks)
+        sizes = np.asarray(self.sizes)
+        self._offsets = np.cumsum(sizes) - sizes
 
     @property
     def m(self):
@@ -53,32 +73,42 @@ class GroupedDataset:
         return sum(self.sizes)
 
 
-def pick_one_per_group(data, rng):
-    """Select one observation uniformly and independently from each block."""
-    return tuple(g[int(rng.integers(0, len(g)))] for g in data.groups)
+def pick_one_per_group(data, rng, size):
+    """`size` independent picks of one observation per block, uniform within it.
+
+    Returns an array of shape ``(size, m, ...)``: row i is pick i, in group
+    order.
+    """
+    sizes = np.asarray(data.sizes)
+    return data._stacked[data._offsets + rng.integers(0, sizes, size=(size, data.m))]
 
 
 def subsample_pvalues(data, test, n, seed):
     """n independent repetitions of pick-then-test; conditionally i.i.d. given data.
 
-    A repetition whose test raises, or returns a value outside [0, 1],
-    aborts the whole run: silently dropping repetitions would bias the
-    conditional i.i.d. structure.
+    The test is called once per block of at most `rngs.CHUNK` repetitions.
+    A block whose test raises, or returns anything but one value in [0, 1]
+    per repetition, aborts the whole run: silently dropping repetitions
+    would bias the conditional i.i.d. structure.
     """
     if n != int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    check_seed(seed)
 
-    def one(i):
-        rng = stream(seed, i)
-        obs = pick_one_per_group(data, rng)
-        p = float(test(obs, rng))
-        if np.isnan(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"base test returned {p!r} on repetition {i}, not in [0, 1]")
-        return p
-
-    return np.asarray([one(i) for i in range(n)], dtype=float)
+    out = np.empty(n)
+    for index, length in iter_chunks(n):
+        rng = stream(seed, index)
+        p = np.asarray(test(pick_one_per_group(data, rng, length), rng), dtype=float)
+        if p.shape != (length,):
+            raise ValueError(f"base test returned shape {p.shape} for {length} repetitions, "
+                             f"expected ({length},)")
+        bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"base test returned {float(p[j])!r} on repetition "
+                             f"{index * CHUNK + j}, not in [0, 1]")
+        out[index * CHUNK:index * CHUNK + length] = p
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,40 +176,41 @@ def _rank_sum_cdf(m1, m):
     return np.minimum(cdf, 1.0)
 
 
-def rank_sum_test(obs, rng):
-    """Exact one-sided rank-sum test of the first half against the rest.
+def rank_sum_test(picks, rng):
+    """Exact one-sided rank-sum test of the first half against the rest, per row.
 
-    Splits the m-tuple into its first floor(m/2) entries and the remainder,
-    and returns P(rank sum <= observed) under uniform ranking.  At most
-    `RANK_SUM_MAX_GROUPS` entries are accepted.  Ties are
-    broken uniformly at random with `rng`, which keeps the null distribution
-    of the ranks exact for any common marginal.  Small p-values mean the
-    first half is stochastically smaller.
+    `picks` has shape (b, m).  Each row is split into its first floor(m/2)
+    entries and the remainder, and the result holds P(rank sum <= observed)
+    under uniform ranking for every row.  At most `RANK_SUM_MAX_GROUPS`
+    columns are accepted.  Ties are broken uniformly at random with `rng`,
+    which keeps the null distribution of the ranks exact for any common
+    marginal.  Small p-values mean the first half is stochastically smaller.
     """
-    x = np.asarray(obs, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("rank_sum_test needs a flat tuple of at least 2 scalars")
-    m = x.size
+    x = np.asarray(picks, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"rank_sum_test needs a (b, m) array with m >= 2, got shape {x.shape}")
+    m = x.shape[1]
     m1 = m // 2
-    order = np.lexsort((rng.random(m), x))
-    ranks = np.empty(m, dtype=np.int64)
-    ranks[order] = np.arange(1, m + 1)
-    w = int(ranks[:m1].sum())
-    return float(_rank_sum_cdf(m1, m)[w])
+    cdf = _rank_sum_cdf(m1, m)
+    # order[:, r] is the column ranked r + 1, so the first half's rank sum
+    # adds r + 1 wherever that column is one of the first m1
+    order = np.lexsort((rng.random(x.shape), x), axis=-1)
+    return cdf[(order < m1) @ np.arange(1, m + 1)]
 
 
 def make_bcmc_test(chain_length=1000, statistic=checkerboard_score):
-    """Base test running the serial Monte Carlo association test per pick.
+    """Base test running the serial Monte Carlo association test on each pick.
 
-    Each observation must be a 0/1 vector (one matrix row per block); the
-    picked rows are stacked and ranked within a fresh chain of the given
-    length, driven by the repetition's own stream.
+    Each observation must be a 0/1 vector (one matrix row per block), so
+    `picks` has shape (b, m, c).  Each (m, c) pick is ranked within a fresh
+    chain of the given length; the chains run one after another on the
+    block's stream.
     """
     if chain_length < 1:
         raise ValueError("chain length must be >= 1")
 
-    def base_test(obs, rng):
-        mat = BinaryMatrix(np.vstack([np.asarray(row) for row in obs]))
-        return _serial_pvalue_rng(mat, chain_length, statistic, rng)
+    def base_test(picks, rng):
+        return np.array([_serial_pvalue_rng(BinaryMatrix(mat), chain_length, statistic, rng)
+                         for mat in picks])
 
     return base_test

@@ -89,6 +89,16 @@ def rank_sum_null_cdf_bruteforce(m1, m):
     return np.array([(sums <= w).mean() for w in range(max_sum + 1)])
 
 
+def rank_sum_bruteforce(row, tiebreak, m1):
+    """Rank sum of the first m1 entries of `row`, ties broken by `tiebreak`.
+
+    Entry i ranks 1 + the number of entries j with (row[j], tiebreak[j])
+    lexicographically below (row[i], tiebreak[i]).
+    """
+    keys = list(zip(row, tiebreak))
+    return sum(1 + sum(other < keys[i] for other in keys) for i in range(m1))
+
+
 def checkerboard_score_bruteforce(entries):
     """Mean over column pairs of (colsum_j - overlap)(colsum_j2 - overlap)."""
     e = np.asarray(entries)

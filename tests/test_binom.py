@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import orderpv
 from orderpv.binom import binom_pmf, binom_upper_tail, binom_upper_tail_derivative
 
 from oracles import central_difference, exact_pmf, exact_upper_tail
@@ -109,3 +114,16 @@ class TestUpperTailDerivative:
         for p in np.linspace(0.05, 0.95, 10):
             fd = central_difference(lambda q: binom_upper_tail(n, k, q), p)
             assert binom_upper_tail_derivative(n, k, p) == pytest.approx(fd, abs=1e-6)
+
+
+def test_import_and_combine_leave_scipy_stats_unloaded():
+    # scipy.stats is loaded by binom_pmf alone, on first use
+    src = os.path.dirname(os.path.dirname(orderpv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; import numpy as np; import orderpv; "
+        "orderpv.combine_pvalues(np.linspace(0.01, 0.99, 301)); "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from orderpv import cli, generate_null_matrix
 from orderpv.subsample import RANK_SUM_MAX_GROUPS
@@ -8,6 +9,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_usage_error(capsys, *argv):
+    """argparse rejects the arguments: exit 2 before anything is printed."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
 
 
 def write_pvalues(path, values, header=None):
@@ -48,6 +57,12 @@ class TestFnk:
         assert code == 2 and "error" in err
         code, _, err = run_cli(capsys, "fnk", "--n", "3", "--k", "1", "--u", "1.4")
         assert code == 2
+
+    def test_negative_precision_exit_two_before_output(self, capsys):
+        code, out, err = run_cli_usage_error(capsys, "fnk", "--n", "10", "--k", "5",
+                                             "--precision", "-3")
+        assert code == 2 and out == ""
+        assert "precision must be >= 0" in err
 
 
 class TestCombine:
@@ -235,6 +250,15 @@ class TestSubsample:
             code, out, err = run_cli(capsys, "subsample", path, "--group-col", "g", "--n", "20")
             assert code == 2 and "line 4" in err and bad in err
             assert "summary" not in out
+
+    def test_negative_precision_exit_two_before_output(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        path = write_grouped(tmp_path / "g.csv", self.grouped_rows(rng))
+        code, out, err = run_cli_usage_error(
+            capsys, "subsample", path, "--group-col", "day", "--n", "40", "--precision", "-1"
+        )
+        assert code == 2 and out == ""
+        assert "precision must be >= 0" in err
 
     def test_ranksum_needs_single_column(self, tmp_path, capsys):
         path = write_grouped(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from orderpv.correction import solve_combiner
+from orderpv.rngs import CHUNK
 from orderpv.subsample import (
     RANK_SUM_MAX_GROUPS,
     GroupedDataset,
@@ -13,11 +14,11 @@ from orderpv.subsample import (
     subsample_pvalues,
 )
 
-from oracles import rank_sum_null_cdf_bruteforce
+from oracles import rank_sum_bruteforce, rank_sum_null_cdf_bruteforce
 
 
 def constant_test(value):
-    return lambda obs, rng: value
+    return lambda picks, rng: np.full(len(picks), value)
 
 
 def shifted_uniform_groups(rng, sizes):
@@ -42,16 +43,24 @@ class TestGroupedDataset:
         with pytest.raises(ValueError):
             GroupedDataset([[1], []])
 
+    def test_rejects_observations_that_cannot_be_stacked(self):
+        with pytest.raises(ValueError, match="group 1"):
+            GroupedDataset([[np.zeros(4, np.int8)], [np.ones(5, np.int8)]])
+        with pytest.raises(ValueError, match="group 0"):
+            GroupedDataset([[np.zeros(4, np.int8), np.ones(5, np.int8)], [np.zeros(4, np.int8)]])
+
 
 class TestPickOnePerGroup:
     def test_singleton_groups_are_deterministic(self):
         data = GroupedDataset([[10], [20], [30]])
-        assert pick_one_per_group(data, np.random.default_rng(0)) == (10, 20, 30)
+        picks = pick_one_per_group(data, np.random.default_rng(0), 5)
+        assert picks.shape == (5, 3)
+        assert np.all(picks == [10, 20, 30])
 
     def test_single_group_uniform(self):
         data = GroupedDataset([["a", "b"]])
         rng = np.random.default_rng(1)
-        hits = sum(pick_one_per_group(data, rng)[0] == "a" for _ in range(100_000))
+        hits = np.count_nonzero(pick_one_per_group(data, rng, 100_000)[:, 0] == "a")
         se = np.sqrt(0.25 / 100_000)
         assert abs(hits / 100_000 - 0.5) <= 3 * se
 
@@ -60,9 +69,8 @@ class TestPickOnePerGroup:
         rng = np.random.default_rng(2)
         counts = np.zeros((2, 3))
         draws = 60_000
-        for _ in range(draws):
-            i, j = pick_one_per_group(data, rng)
-            counts[i, j] += 1
+        picks = pick_one_per_group(data, rng, draws)
+        np.add.at(counts, (picks[:, 0], picks[:, 1]), 1)
         freq = counts / draws
         se = np.sqrt((1 / 6) * (5 / 6) / draws)
         assert np.all(np.abs(freq - 1 / 6) <= 3 * se)
@@ -109,6 +117,44 @@ class TestSubsamplePvalues:
         with pytest.raises(ValueError):
             subsample_pvalues(data, constant_test(float("nan")), 5, seed=0)
 
+    def test_rejects_bad_seed(self):
+        data = GroupedDataset([[1, 2], [3]])
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                subsample_pvalues(data, constant_test(0.5), 5, seed=seed)
+
+    def test_bad_test_output_names_shape_or_repetition(self):
+        data = GroupedDataset([[1, 2], [3]])
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            subsample_pvalues(data, lambda picks, rng: 0.5, 5, seed=0)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            subsample_pvalues(data, lambda picks, rng: np.full(len(picks) + 1, 0.5), 5, seed=0)
+        with pytest.raises(ValueError, match=r"shape \(5, 1\)"):
+            subsample_pvalues(data, lambda picks, rng: np.full((len(picks), 1), 0.5), 5, seed=0)
+        # one bad value in the second block is reported by its global index
+        for bad in (float("nan"), 1.7):
+            def test(picks, rng, bad=bad):
+                p = np.full(len(picks), 0.5)
+                if len(picks) == 3:
+                    p[1] = bad
+                return p
+
+            with pytest.raises(ValueError, match=f"repetition {CHUNK + 1},"):
+                subsample_pvalues(data, test, CHUNK + 3, seed=0)
+
+    def test_one_test_call_per_block(self):
+        rng = np.random.default_rng(4)
+        data = shifted_uniform_groups(rng, [3, 1, 4, 2, 5, 2])
+        shapes = []
+
+        def recording_test(picks, rng):
+            shapes.append(picks.shape)
+            return rank_sum_test(picks, rng)
+
+        longer = subsample_pvalues(data, recording_test, CHUNK + 3, seed=21)
+        assert shapes == [(CHUNK, 6), (3, 6)]
+        assert np.array_equal(longer[:CHUNK], subsample_pvalues(data, rank_sum_test, CHUNK, seed=21))
+
 
 class TestRankSumTest:
     @pytest.mark.parametrize("m1,m", [(1, 2), (2, 4), (3, 6), (4, 8), (3, 7)])
@@ -118,7 +164,7 @@ class TestRankSumTest:
     def test_uniform_inputs_give_valid_pvalues(self):
         rng = np.random.default_rng(10)
         reps = 20_000
-        ps = np.array([rank_sum_test(rng.random(8), rng) for _ in range(reps)])
+        ps = rank_sum_test(rng.random((reps, 8)), rng)
         for alpha in (0.05, 0.2, 0.5):
             se = np.sqrt(alpha * (1 - alpha) / reps)
             assert (ps <= alpha).mean() <= alpha + 3 * se
@@ -126,34 +172,47 @@ class TestRankSumTest:
     def test_ties_are_randomized_but_valid(self):
         rng = np.random.default_rng(11)
         reps = 20_000
-        ps = np.array([rank_sum_test([0.5] * 6, rng) for _ in range(reps)])
+        ps = rank_sum_test(np.full((reps, 6), 0.5), rng)
         for alpha in (0.1, 0.3):
             se = np.sqrt(alpha * (1 - alpha) / reps)
             assert (ps <= alpha).mean() <= alpha + 3 * se
 
     def test_detects_shifted_first_half(self):
         rng = np.random.default_rng(12)
-        ps = [rank_sum_test(np.concatenate([rng.random(4) * 0.2, 0.8 + rng.random(4) * 0.2]), rng)
-              for _ in range(200)]
+        picks = np.concatenate([rng.random((200, 4)) * 0.2, 0.8 + rng.random((200, 4)) * 0.2], axis=1)
+        ps = rank_sum_test(picks, rng)
         assert np.median(ps) < 0.05
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
-            rank_sum_test([0.5], np.random.default_rng(0))
+            rank_sum_test([[0.5]], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="shape"):
+            rank_sum_test([0.5, 0.2], np.random.default_rng(0))
+
+    def test_batch_matches_rowwise_bruteforce_with_ties(self):
+        rows, m = 5000, 9
+        x = np.random.default_rng(17).integers(0, 3, size=(rows, m)).astype(float)
+        ps = rank_sum_test(x, np.random.default_rng(18))
+        # the same generator state gives the tie-break draws the test used
+        tiebreak = np.random.default_rng(18).random(x.shape)
+        cdf = _rank_sum_cdf(m // 2, m)
+        expected = [cdf[rank_sum_bruteforce(x[i], tiebreak[i], m // 2)] for i in range(rows)]
+        # the CDF rises strictly on the support, so equal values are equal rank sums
+        assert np.array_equal(ps, expected)
 
     def test_largest_rank_sum_gives_exactly_one(self):
         # from m = 57 on, rounding in the CDF table's running sum can put its
         # top entries above 1; every first-half group here outranks the rest
         m = 57
         groups = [[m - j, m - j + 0.5] for j in range(m)]
-        assert rank_sum_test([g[0] for g in groups], np.random.default_rng(0)) == 1.0
+        assert rank_sum_test([[g[0] for g in groups]], np.random.default_rng(0))[0] == 1.0
         result = run_pipeline(GroupedDataset(groups), rank_sum_test, n=5, seed=1)
         assert np.all(result.sample == 1.0)
 
     def test_rejects_too_many_groups(self):
         m = RANK_SUM_MAX_GROUPS + 1
         with pytest.raises(ValueError, match=str(RANK_SUM_MAX_GROUPS)):
-            rank_sum_test(np.arange(m, dtype=float), np.random.default_rng(0))
+            rank_sum_test(np.arange(m, dtype=float)[None, :], np.random.default_rng(0))
 
 
 class TestRunPipeline:
