@@ -88,11 +88,20 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
     When `statistic` is given it is evaluated after every step; returns the
     number of steps with statistic >= threshold, appending each value to
     `trace` when provided.
+
+    The indices of a block are drawn as numpy arrays (one `rng.integers` call
+    per corner, so the random stream is fixed by the block layout) and then
+    turned into Python ints, and the cells are read and written through a
+    memoryview of `work`.  Indexing a numpy array with numpy scalars costs
+    about 100 ns per access; a memoryview indexed with Python ints is several
+    times cheaper, follows any strides, and writes straight into `work`, so
+    `statistic(work)` sees every flip.
     """
     if steps <= 0:
         return 0
     _check_swappable(work.shape)
     r, c = work.shape
+    cells = memoryview(work)
     count = 0
     current = None  # statistic of the running state; rejected moves keep it
     remaining = steps
@@ -104,15 +113,14 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
         j2 = rng.integers(0, c - 1, size=b)
         i2 = i2 + (i2 >= i1)
         j2 = j2 + (j2 >= j1)
-        for s in range(b):
-            r1, r2, c1, c2 = i1[s], i2[s], j1[s], j2[s]
-            a = work[r1, c1]
-            bb = work[r1, c2]
-            if a != bb and work[r2, c2] == a and work[r2, c1] == bb:
-                work[r1, c1] = bb
-                work[r2, c2] = bb
-                work[r1, c2] = a
-                work[r2, c1] = a
+        for r1, r2, c1, c2 in zip(i1.tolist(), i2.tolist(), j1.tolist(), j2.tolist()):
+            a = cells[r1, c1]
+            bb = cells[r1, c2]
+            if a != bb and cells[r2, c2] == a and cells[r2, c1] == bb:
+                cells[r1, c1] = bb
+                cells[r2, c2] = bb
+                cells[r1, c2] = a
+                cells[r2, c1] = a
                 current = None
             if statistic is not None:
                 if current is None:
@@ -132,17 +140,25 @@ def checkerboard_score(mat):
     pairs tend to avoid sharing rows.  Varies across the fixed-margin class,
     which is what gives the serial test its power; it is the default
     statistic of `ChainConfig`.
+
+    The column-overlap matrix is one float64 BLAS product (numpy has no BLAS
+    path for int64, which is several times slower).  For 0/1 entries it is
+    exact: every entry, and every partial sum of the product, is an integer
+    count of at most `rows` < 2**53.  It is cast back to int64 before the
+    products and the sum, so the score is the same float as with an
+    all-int64 computation.  Its diagonal holds the column sums.
     """
     e = _as_entries(mat)
     c = e.shape[1]
     if c < 2:
         raise ValueError("need at least 2 columns")
-    overlap = e.T.astype(np.int64) @ e.astype(np.int64)
-    col = e.sum(axis=0, dtype=np.int64)
-    score = (col[:, None] - overlap) * (col[None, :] - overlap)
-    # overlap's diagonal equals the column sums, so diagonal terms vanish and
-    # the pair mean is the full sum over c*(c-1) ordered pairs.
-    return float(score.sum() / (c * (c - 1)))
+    f = e.astype(np.float64)
+    overlap = np.dot(f.T, f).astype(np.int64)
+    gap = overlap.diagonal()[:, None] - overlap  # col_sum_j - overlap(j, j')
+    # vdot sums gap * gap.T, i.e. (col_j - overlap)(col_j' - overlap); on the
+    # diagonal it vanishes, so the pair mean is the full sum over c*(c-1)
+    # ordered pairs.
+    return float(np.vdot(gap, gap.T)) / (c * (c - 1))
 
 
 @dataclass(frozen=True)

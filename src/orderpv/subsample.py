@@ -32,7 +32,9 @@ class GroupedDataset:
 
     `groups` is a list of non-empty sequences.  The observations are stacked
     once into one array, so they must share a shape: scalars, or equal-length
-    vectors, and so on.
+    vectors, and so on.  They must share a dtype kind too, so that stacking
+    never turns numbers into strings: bool, int and float groups may mix,
+    but a string, bytes or object group may only sit next to its own kind.
     """
 
     groups: list
@@ -55,6 +57,11 @@ class GroupedDataset:
                     f"group {j}: observations of shape {block.shape[1:]}, "
                     f"group 0 has {blocks[0].shape[1:]}"
                 )
+            if blocks and _kind(block) != _kind(blocks[0]):
+                raise ValueError(
+                    f"group {j}: observations of dtype {block.dtype}, "
+                    f"group 0 has {blocks[0].dtype}"
+                )
             blocks.append(block)
         self._stacked = np.concatenate(blocks)
         sizes = np.asarray(self.sizes)
@@ -71,6 +78,11 @@ class GroupedDataset:
     @property
     def total(self):
         return sum(self.sizes)
+
+
+def _kind(block):
+    """The dtype kind of `block`, with bool, int and float counted as one."""
+    return "number" if block.dtype.kind in "biuf" else block.dtype.kind
 
 
 def pick_one_per_group(data, rng, size):

@@ -31,15 +31,29 @@ def exact_upper_tail(n, k, p_num, p_den):
 def exact_knee(n, k):
     """Knee of the correction by 40-digit bisection, for 1 < k < n.
 
-    The root of w(p) = k C(n, k) p^k (1-p)^(n-k) - I_p(k, n-k+1), i.e.
-    p * tail'(p) - tail(p), on the bracket [(k-1)/(n-1), 1].
+    The root of w(p) = k C(n, k) p^k (1-p)^(n-k) - P(Bin(n, p) >= k), i.e.
+    p * tail'(p) - tail(p), on the bracket [(k-1)/(n-1), 1].  The tail is
+    summed term by term with the ratio (n-j)/(j+1) * p/(1-p) of consecutive
+    binomial terms; mpmath's `betainc` fails to converge at large n (for
+    example n = 5000, k = 2500).
     """
     with mpmath.workdps(40):
-        coeff = k * mpmath.binomial(n, k)
+        coeff = mpmath.binomial(n, k)
+        eps = mpmath.mpf(10) ** -45
 
         def w(p):
-            density = coeff * p**k * (1 - p) ** (n - k)
-            return density - mpmath.betainc(k, n - k + 1, 0, p, regularized=True)
+            term = coeff * p**k * (1 - p) ** (n - k)  # P(Bin(n, p) = k)
+            odds = p / (1 - p)
+            density, tail = k * term, term
+            for j in range(k, n):
+                ratio = (n - j) * odds / (j + 1)
+                term *= ratio
+                tail += term
+                # past the mode the ratios keep falling, so once one is
+                # below 1/2 the rest of the sum is under twice this term
+                if ratio < 0.5 and term < eps * tail:
+                    break
+            return density - tail
 
         lo, hi = mpmath.mpf(k - 1) / (n - 1), mpmath.mpf(1)
         while hi - lo > mpmath.mpf("1e-32"):
@@ -110,3 +124,58 @@ def checkerboard_score_bruteforce(entries):
             overlap = int((e[:, j1] * e[:, j2]).sum())
             terms.append((col[j1] - overlap) * (col[j2] - overlap))
     return float(np.mean(terms))
+
+
+def checkerboard_score_int64(entries):
+    """The checkerboard score with an all-int64 column-overlap product."""
+    e = np.asarray(entries)
+    c = e.shape[1]
+    overlap = e.T.astype(np.int64) @ e.astype(np.int64)
+    col = e.sum(axis=0, dtype=np.int64)
+    score = (col[:, None] - overlap) * (col[None, :] - overlap)
+    return float(score.sum() / (c * (c - 1)))
+
+
+def advance_reference(work, steps, rng, statistic=None, threshold=None, trace=None):
+    """The swap chain with numpy-scalar indexing of `work`, step by step.
+
+    Draws the same index blocks from `rng` as the production chain and
+    applies the same rule: flip the 2x2 corners when they form a
+    checkerboard; evaluate `statistic` after each step, reusing the last
+    value while the state is unchanged.
+    """
+    if steps <= 0:
+        return 0
+    r, c = work.shape
+    if r < 2 or c < 2:
+        raise ValueError("checkerboard swaps need at least 2 rows and 2 columns")
+    count = 0
+    current = None
+    remaining = steps
+    while remaining:
+        b = min(8192, remaining)
+        i1 = rng.integers(0, r, size=b)
+        i2 = rng.integers(0, r - 1, size=b)
+        j1 = rng.integers(0, c, size=b)
+        j2 = rng.integers(0, c - 1, size=b)
+        i2 = i2 + (i2 >= i1)
+        j2 = j2 + (j2 >= j1)
+        for s in range(b):
+            r1, r2, c1, c2 = i1[s], i2[s], j1[s], j2[s]
+            a = work[r1, c1]
+            bb = work[r1, c2]
+            if a != bb and work[r2, c2] == a and work[r2, c1] == bb:
+                work[r1, c1] = bb
+                work[r2, c2] = bb
+                work[r1, c2] = a
+                work[r2, c1] = a
+                current = None
+            if statistic is not None:
+                if current is None:
+                    current = statistic(work)
+                if trace is not None:
+                    trace.append(current)
+                if threshold is not None and current >= threshold:
+                    count += 1
+        remaining -= b
+    return count

@@ -12,7 +12,12 @@ from orderpv.bcmc import (
 )
 from orderpv.rngs import stream
 
-from oracles import checkerboard_score_bruteforce, enumerate_margin_class
+from oracles import (
+    advance_reference,
+    checkerboard_score_bruteforce,
+    checkerboard_score_int64,
+    enumerate_margin_class,
+)
 
 PERM_MARGINS = ([1, 1, 1], [1, 1, 1])
 BLOCK_MARGINS = ([2, 2, 2, 2, 2, 2], [3, 3, 3, 3])
@@ -106,15 +111,114 @@ class TestSwapStep:
                 assert abs(phat[i, j] - phat[j, i]) <= 4 * max(se, 1e-3)
 
 
+def layouts(entries):
+    """`entries` as an int8 C array, a Fortran array and a strided view."""
+    entries = np.asarray(entries, dtype=np.int8)
+    r, c = entries.shape
+    strided = np.full((2 * r, 3 * c), 7, dtype=np.int8)[::2, 1::3]
+    strided[...] = entries
+    return [entries.copy(), np.asfortranarray(entries), strided]
+
+
+class TestAdvanceMatchesReference:
+    """`_advance` against the numpy-indexed loop in `oracles`, state by state."""
+
+    @staticmethod
+    def run(advance, work, steps, seed):
+        rng = np.random.default_rng(seed)
+        states = []
+        advance(work, steps, rng, lambda w: w.tobytes(), trace=states)
+        return states, rng.bit_generator.state
+
+    def test_every_state_on_random_small_matrices(self):
+        picker = np.random.default_rng(5)
+        for i in range(200):
+            r, c = int(picker.integers(2, 7)), int(picker.integers(2, 7))
+            entries = picker.random((r, c)) < picker.random()
+            steps, seed = int(picker.integers(1, 300)), int(picker.integers(2**32))
+            work, ref = layouts(entries)[i % 3], layouts(entries)[i % 3]
+            got = self.run(_advance, work, steps, seed)
+            want = self.run(advance_reference, ref, steps, seed)
+            assert got == want, i
+            assert np.array_equal(work, ref)
+            if i % 3 == 2:  # cells outside the strided view are untouched
+                assert np.count_nonzero(work.base == 7) == work.base.size - work.size
+
+    def test_count_and_trace_across_blocks(self):
+        mat = generate_null_matrix([3] * 8, [4] * 6, burn_in=0, seed=0)
+        observed = checkerboard_score(mat)
+        results = []
+        for advance in (_advance, advance_reference):
+            work, rng, trace = np.array(mat.entries), np.random.default_rng(77), []
+            count = advance(work, 2 * 8192 + 5, rng, checkerboard_score, observed, trace)
+            results.append((count, trace, work.tobytes(), rng.bit_generator.state))
+        assert results[0] == results[1]
+
+
+class TestChainPins:
+    """Chain outputs recorded before the swap loop and the statistic were sped up."""
+
+    NULL_ROWS = (
+        "00000010011001000101", "10000110001000010010", "00001110000001001100",
+        "00000010000000111101", "10001010010001001000", "01110000100000100001",
+        "01110010100000010000", "10001011100001000000", "00101000100110000100",
+        "00101001000000000111", "01001100000001000011", "01000100000111100000",
+        "11001000001000001010", "00010001001010100010", "00010000001100110010",
+        "00101100000101010000", "00000110110100100000", "00000001000000011111",
+        "10111000110000000000", "01010001000011000010", "00010000101011010000",
+        "10001000000010001110", "01000000010010001101", "10010010000100110000",
+        "01000100110010100000", "00110001001110000000", "11100000010000001100",
+        "10000100001100000101", "00000011010000101100", "00010101000001011000",
+        "01000000001100001011", "00101001111000000000", "00000001110001010001",
+        "01000010100000000111", "00110110001010000000", "10100101000100000010",
+        "00010000110110010000", "10100000000100111000", "00000101001010100001",
+        "11001000010001100000",
+    )
+
+    @pytest.fixture(scope="class")
+    def null_matrix(self):
+        return generate_null_matrix([6] * 40, [12] * 20, seed=3)
+
+    def test_null_matrix_entries(self, null_matrix):
+        rows = tuple("".join(map(str, row)) for row in null_matrix.entries.tolist())
+        assert rows == self.NULL_ROWS
+
+    def test_serial_pvalues(self, null_matrix):
+        block = generate_null_matrix(*BLOCK_MARGINS, burn_in=100, seed=2)
+        for mat, length, counts in (
+            (null_matrix, 2000, [1578, 1357, 442, 1083, 1360]),
+            (block, 200, [2, 9, 10, 10, 11]),
+        ):
+            for seed, count in enumerate(counts):
+                assert serial_pvalue(mat, ChainConfig(length=length, seed=seed)) == count / length
+
+    def test_trace(self, null_matrix):
+        p, trace = serial_pvalue(null_matrix, ChainConfig(length=64, seed=5), return_trace=True)
+        # the score is an integer sum over the 20 * 19 ordered column pairs
+        sums = [30372] * 23 + [30356] * 4 + [30340] * 37
+        assert p == 1.0
+        assert np.array_equal(trace, np.asarray(sums) / 380)
+
+
 class TestStatistics:
     def test_checkerboard_score_matches_bruteforce(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             entries = (rng.random((7, 4)) < 0.5).astype(int)
             mat = BinaryMatrix(entries)
-            assert checkerboard_score(mat) == pytest.approx(
-                checkerboard_score_bruteforce(entries), rel=1e-12
-            )
+            assert checkerboard_score(mat) == checkerboard_score_bruteforce(entries)
+
+    def test_checkerboard_score_equals_int64_formula(self):
+        # the float64 overlap product must give the very same float
+        rng = np.random.default_rng(2024)
+        inputs = (np.asarray, lambda e: e.astype(int), lambda e: e.astype(int).tolist(), BinaryMatrix)
+        for i in range(500):
+            r, c = int(rng.integers(1, 61)), int(rng.integers(2, 61))
+            entries = rng.random((r, c)) < rng.random()
+            entries[:, rng.random(c) < 0.1] = False  # all-zero columns
+            entries[:, rng.random(c) < 0.1] = True  # all-one columns
+            expected = checkerboard_score_int64(entries)
+            assert checkerboard_score(inputs[i % 4](entries)) == expected, (i, r, c)
 
     def test_checkerboard_score_varies_across_class(self):
         scores = {round(checkerboard_score(m), 9) for m in enumerate_margin_class(*BLOCK_MARGINS)}

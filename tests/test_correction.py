@@ -70,7 +70,9 @@ class TestSolve:
         spec = CombinerSpec.solve(n, k)
         assert (k - 1) / (n - 1) - 1e-12 <= spec.knee <= 1.0
 
-    @pytest.mark.parametrize("n,k", [(4, 2), (10, 5), (31, 8), (317, 200), (1000, 500)])
+    @pytest.mark.parametrize(
+        "n,k", [(4, 2), (10, 5), (31, 8), (317, 200), (1000, 500), (5000, 2500)]
+    )
     def test_knee_matches_exact_oracle(self, n, k):
         assert abs(CombinerSpec.solve(n, k).knee - exact_knee(n, k)) <= DEFAULT_TOL
 

@@ -49,6 +49,21 @@ class TestGroupedDataset:
         with pytest.raises(ValueError, match="group 0"):
             GroupedDataset([[np.zeros(4, np.int8), np.ones(5, np.int8)], [np.zeros(4, np.int8)]])
 
+    def test_rejects_text_or_object_group_next_to_numeric(self):
+        for groups, bad in (
+            ([["a"], [1]], 1),
+            ([[1.5], [2], ["b"]], 2),
+            ([[b"a"], [0.5]], 1),
+            ([[None], [1]], 1),
+            ([["a"], [b"a"]], 1),
+        ):
+            with pytest.raises(ValueError, match=f"group {bad}: observations of dtype"):
+                GroupedDataset(groups)
+
+    def test_numeric_kinds_and_equal_text_kinds_mix(self):
+        assert GroupedDataset([[True], [2], [3.5]])._stacked.tolist() == [1.0, 2.0, 3.5]
+        assert GroupedDataset([["a"], ["bc"]])._stacked.tolist() == ["a", "bc"]
+
 
 class TestPickOnePerGroup:
     def test_singleton_groups_are_deterministic(self):
