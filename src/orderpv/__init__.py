@@ -6,7 +6,7 @@ to data, and the simulation modules verify by Monte Carlo that the corrected
 value is a valid p-value and that nothing smaller is.
 """
 
-from .binom import binom_pmf, binom_upper_tail, binom_upper_tail_derivative
+from .binom import binom_upper_tail, binom_upper_tail_derivative
 from .bcmc import (
     BinaryMatrix,
     ChainConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "adversarial_kernel",
-    "binom_pmf",
     "binom_upper_tail",
     "binom_upper_tail_derivative",
     "checkerboard_score",

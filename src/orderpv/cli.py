@@ -16,10 +16,10 @@ import numpy as np
 
 from .bcmc import BinaryMatrix, ChainConfig, serial_pvalue
 from .combine import combine_pvalues, default_k
-from .correction import CombinerSpec, envelope, solve_combiner
+from .correction import CombinerSpec, envelope
 from .rngs import check_seed
 from .subsample import GroupedDataset, make_bcmc_test, rank_sum_test, run_pipeline
-from .validity import SimConfig, adversarial_kernel, check_validity, tightness_scan
+from .validity import tightness_scan
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -165,8 +165,6 @@ def _cmd_fnk(args):
     print(f"correction_lower_bound = {_fmt(lower / probe, prec)}")
     print(f"correction_upper_bound = {_fmt(upper / probe, prec)}")
     for u in args.u or []:
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"u = {u} outside [0, 1]")
         print(f"f({_fmt(u, prec)}) = {_fmt(spec.apply(u), prec)}")
     return EXIT_OK
 
@@ -186,18 +184,7 @@ def _cmd_combine(args):
 
 def _cmd_validate(args):
     seed = _resolve_seed(args.seed)
-    if not 0.0 < args.shrink <= 1.0:
-        raise ValueError(f"--shrink must lie in (0, 1], got {args.shrink}")
-    if args.shrink == 1.0:
-        spec = solve_combiner(args.n, args.k)
-        cfg = SimConfig(n=args.n, k=args.k, reps=args.reps, seed=seed)
-        report = check_validity(
-            cfg, spec.apply, adversarial_kernel(args.n, spec.knee), threads=args.threads
-        )
-    else:
-        report = tightness_scan(
-            args.n, args.k, args.shrink, args.reps, seed, threads=args.threads
-        )
+    report = tightness_scan(args.n, args.k, args.shrink, args.reps, seed, threads=args.threads)
     metadata = {
         "command": "validate",
         "n": args.n,

@@ -10,31 +10,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binom import _check_n, _check_nk, _check_p
 from .correction import solve_combiner
 
 
 def default_k(n):
     """Index of the left sample median: floor((n+1)/2)."""
-    if n != int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return (int(n) + 1) // 2
+    return (_check_n(n) + 1) // 2
 
 
 def _check_sample(values):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("expected a non-empty 1-d vector of p-values")
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("all p-values must lie in [0, 1]")
-    return arr
+    return _check_p(arr, "all p-values")
+
+
+def _kth_smallest(arr, k):
+    return float(np.partition(arr, k - 1)[k - 1])
 
 
 def order_statistic(values, k):
     """The k-th smallest entry (ties counted with multiplicity)."""
     arr = _check_sample(values)
-    if k != int(k) or not 1 <= k <= arr.size:
-        raise ValueError(f"k must be an integer in [1, {arr.size}], got {k!r}")
-    return float(np.partition(arr, int(k) - 1)[int(k) - 1])
+    return _kth_smallest(arr, _check_nk(arr.size, k)[1])
 
 
 @dataclass(frozen=True)
@@ -72,16 +71,15 @@ def combine_pvalues(values, k=None):
     """
     arr = _check_sample(values)
     n = arr.size
-    if k is None:
-        k = default_k(n)
-    u = order_statistic(arr, k)
-    spec = solve_combiner(n, int(k))
+    k = default_k(n) if k is None else _check_nk(n, k)[1]
+    u = _kth_smallest(arr, k)
+    spec = solve_combiner(n, k)
     return CombineResult(
         summary=spec.apply(u),
         n=n,
-        k=int(k),
+        k=k,
         order_stat=u,
         knee=spec.knee,
         slope=spec.slope,
-        bound=min(1.0, (n / int(k)) * u),
+        bound=min(1.0, (n / k) * u),
     )

@@ -22,11 +22,12 @@ from math import comb
 import numpy as np
 
 from .bcmc import BinaryMatrix, _serial_pvalue_rng, checkerboard_score
+from .binom import _check_n
 from .combine import CombineResult, combine_pvalues, default_k
 from .rngs import CHUNK, iter_chunks, stream
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupedDataset:
     """Observations partitioned into blocks with arbitrary within-block dependence.
 
@@ -35,10 +36,13 @@ class GroupedDataset:
     vectors, and so on.  They must share a dtype kind too, so that stacking
     never turns numbers into strings: bool, int and float groups may mix,
     but a string, bytes or object group may only sit next to its own kind.
+    The stacked copy is the dataset: picks, `m`, `sizes` and `total` all
+    come from it, so changing `groups` afterwards changes none of them.
     """
 
     groups: list
     _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -63,21 +67,22 @@ class GroupedDataset:
                     f"group 0 has {blocks[0].dtype}"
                 )
             blocks.append(block)
-        self._stacked = np.concatenate(blocks)
-        sizes = np.asarray(self.sizes)
-        self._offsets = np.cumsum(sizes) - sizes
+        sizes = np.array([len(block) for block in blocks])
+        object.__setattr__(self, "_stacked", np.concatenate(blocks))
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_offsets", np.cumsum(sizes) - sizes)
 
     @property
     def m(self):
-        return len(self.groups)
+        return self._sizes.size
 
     @property
     def sizes(self):
-        return [len(g) for g in self.groups]
+        return self._sizes.tolist()
 
     @property
     def total(self):
-        return sum(self.sizes)
+        return len(self._stacked)
 
 
 def _kind(block):
@@ -91,8 +96,7 @@ def pick_one_per_group(data, rng, size):
     Returns an array of shape ``(size, m, ...)``: row i is pick i, in group
     order.
     """
-    sizes = np.asarray(data.sizes)
-    return data._stacked[data._offsets + rng.integers(0, sizes, size=(size, data.m))]
+    return data._stacked[data._offsets + rng.integers(0, data._sizes, size=(size, data.m))]
 
 
 def subsample_pvalues(data, test, n, seed):
@@ -103,10 +107,7 @@ def subsample_pvalues(data, test, n, seed):
     per repetition, aborts the whole run: silently dropping repetitions
     would bias the conditional i.i.d. structure.
     """
-    if n != int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-
+    n = _check_n(n)
     out = np.empty(n)
     for index, length in iter_chunks(n):
         rng = stream(seed, index)

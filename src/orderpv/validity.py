@@ -15,9 +15,11 @@ are processed in fixed-size blocks with one counter-derived stream per block
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
+from .binom import _check_nk, _check_p
 from .correction import solve_combiner
 from .rngs import check_seed, iter_chunks, stream
 
@@ -39,16 +41,13 @@ class SimConfig:
     alpha_grid: np.ndarray = field(default_factory=lambda: DEFAULT_ALPHA_GRID.copy())
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        _check_nk(self.n, self.k)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         check_seed(self.seed)
-        grid = np.asarray(self.alpha_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("alpha_grid must be a non-empty 1-d vector")
-        if np.any(grid < 0.0) or np.any(grid > 1.0) or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("alpha_grid must be strictly increasing within [0, 1]")
+        grid = _check_p(self.alpha_grid, "alpha_grid")
+        if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
+            raise ValueError("alpha_grid must be a non-empty, strictly increasing 1-d vector")
         object.__setattr__(self, "alpha_grid", grid)
 
 
@@ -91,15 +90,16 @@ def adversarial_kernel(n, t):
 
     Each row draws a shared x uniform on [0,1]; each of its n values
     independently equals x*t with probability t, else is uniform on [t, 1].
+    One uniform u per value does both: u < t picks the atom, and otherwise
+    u itself is uniform on [t, 1].
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
 
     def kernel(rng, size):
         x = rng.random(size)
-        atom = rng.random((size, n)) < t
         u = rng.random((size, n))
-        return np.where(atom, (x * t)[:, None], t + (1.0 - t) * u)
+        return np.where(u < t, (x * t)[:, None], u)
 
     return kernel
 
@@ -117,8 +117,9 @@ def _tally_chunk(cfg, f, kernel, index, size):
     rng = stream(cfg.seed, index)
     draws = kernel(rng, size)
     u = np.partition(draws, cfg.k - 1, axis=1)[:, cfg.k - 1]
-    v = np.asarray(f(u), dtype=float)
-    return (v[:, None] <= cfg.alpha_grid[None, :]).sum(axis=0)
+    v = np.sort(np.asarray(f(u), dtype=float))
+    # hits at alpha: the number of combined values <= alpha
+    return np.searchsorted(v, cfg.alpha_grid, side="right")
 
 
 def check_validity(cfg, f, kernel, threads=1):
@@ -134,7 +135,8 @@ def check_validity(cfg, f, kernel, threads=1):
     threads : int
         Worker threads over replication blocks, at least 1; any count yields
         the same report because block streams are fixed and the tallies are
-        summed.
+        summed.  Blocks are handed out `threads` at a time, so at most that
+        many are in flight whatever `cfg.reps` is.
 
     Returns
     -------
@@ -143,15 +145,18 @@ def check_validity(cfg, f, kernel, threads=1):
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    chunks = list(iter_chunks(cfg.reps))
+
+    def tally(chunk):
+        return _tally_chunk(cfg, f, kernel, *chunk)
+
+    chunks = iter_chunks(cfg.reps)
     if threads > 1:
+        counts = 0
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(
-                pool.map(lambda c: _tally_chunk(cfg, f, kernel, *c), chunks)
-            )
+            while batch := list(islice(chunks, threads)):
+                counts += sum(pool.map(tally, batch))
     else:
-        tallies = [_tally_chunk(cfg, f, kernel, i, m) for i, m in chunks]
-    counts = np.sum(tallies, axis=0)
+        counts = sum(map(tally, chunks))
 
     emp = counts / cfg.reps
     se = np.sqrt(emp * (1.0 - emp) / cfg.reps)

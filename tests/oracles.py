@@ -10,6 +10,7 @@ from math import comb
 
 import mpmath
 import numpy as np
+from scipy import special, stats
 
 
 def exact_pmf(n, k, p_num, p_den):
@@ -63,6 +64,33 @@ def exact_knee(n, k):
             else:
                 hi = mid
         return float((lo + hi) / 2)
+
+
+def apply_both_branches(n, k, knee, slope, u):
+    """The correction with both branches evaluated on every value, merged by np.where.
+
+    This was the production formula before `CombinerSpec.apply` evaluated the
+    tail only beyond the knee; the two must agree bit for bit.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.where(u <= knee, slope * u, special.betainc(k, n - k + 1, u))
+    return np.clip(out, 0.0, 1.0)
+
+
+def worst_case_orderstat_cdf(n, k, t, q):
+    """P(U_(k) <= q) for the two-point worst-case kernel at atom weight 0 < t < 1.
+
+    A ~ Bin(n, t) of the n values sit on the shared atom x*t, x uniform on
+    [0, 1]; the rest are i.i.d. uniform on [t, 1].  If A >= k then
+    U_(k) = x*t, otherwise U_(k) = t + (1-t) * Beta(k-A, n-k+1).  Exact up
+    to the rounding of scipy.stats; `q` is a vector.
+    """
+    q = np.asarray(q, dtype=float)
+    a = np.arange(k)
+    on_atom = stats.binom.sf(k - 1, n, t) * np.minimum(1.0, q / t)
+    above = np.clip((q - t) / (1.0 - t), 0.0, 1.0)
+    scattered = stats.binom.pmf(a, n, t) @ stats.beta.cdf(above[None, :], (k - a)[:, None], n - k + 1)
+    return on_atom + scattered
 
 
 def central_difference(f, x, h=1e-6):

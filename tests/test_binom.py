@@ -7,9 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import orderpv
-from orderpv.binom import binom_pmf, binom_upper_tail, binom_upper_tail_derivative
+from orderpv.binom import binom_upper_tail, binom_upper_tail_derivative
 
 from oracles import central_difference, exact_pmf, exact_upper_tail
+
+
+def binom_pmf(n, k, p):
+    """P(Bin(n, p) = k) through the tail derivative: d/dp P(Bin(n+1, p) >= k+1) / (n+1)."""
+    return binom_upper_tail_derivative(n + 1, k + 1, p) / (n + 1)
+
 
 # Exact rational oracle values, frozen; the oracle code recomputes them below.
 PMF_1000_500_HALF = 0.0252250181783608
@@ -71,10 +77,10 @@ class TestUpperTail:
 
     @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (12, 7), (50, 3), (200, 113)])
     def test_direct_sum_identity(self, n, k):
-        # tail == 1 - sum of the pmf below k, on a p grid
-        for p in np.linspace(0.0, 1.0, 41):
-            low = sum(binom_pmf(n, j, p) for j in range(k))
-            assert binom_upper_tail(n, k, p) == pytest.approx(1.0 - low, abs=1e-12)
+        # tail == 1 - sum of the exact pmf below k, on the p grid i/40
+        for i in range(41):
+            low = sum(exact_pmf(n, j, i, 40) for j in range(k))
+            assert binom_upper_tail(n, k, i / 40) == pytest.approx(1.0 - low, abs=1e-12)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (5, 4), (30, 11), (100, 50)])
     def test_strictly_increasing_in_p(self, n, k):
@@ -117,7 +123,7 @@ class TestUpperTailDerivative:
 
 
 def test_import_and_combine_leave_scipy_stats_unloaded():
-    # scipy.stats is loaded by binom_pmf alone, on first use
+    # scipy.stats is loaded by binom_upper_tail_derivative alone, on first use
     src = os.path.dirname(os.path.dirname(orderpv.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (

@@ -1,19 +1,29 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import optimize
+
+import orderpv
 
 from orderpv.binom import binom_upper_tail
 from orderpv.combine import default_k
 from orderpv.correction import (
+    _XTOL,
     DEFAULT_TOL,
     CombinerSpec,
+    _brentq,
     _stationarity,
     envelope,
     solve_combiner,
     tail_ratio,
 )
 
-from oracles import exact_knee
+from oracles import apply_both_branches, exact_knee
 
 # Solved to 1e-12 by the root finder here; the published reference rounds it to 1.846.
 SLOPE_1000_500 = 1.8463229261629466
@@ -104,6 +114,32 @@ class TestSolve:
             spec = CombinerSpec.solve(n, k)
             assert (n / k) / (1.0 + 5.0 * k ** (-1 / 3)) - 1e-12 <= spec.slope <= n / k + 1e-12
 
+    def test_knee_bit_identical_to_scipy_brentq(self):
+        pairs = [(n, k) for n in range(3, 121) for k in range(2, n)]
+        rng = np.random.default_rng(8)
+        pairs += [(int(n), int(k)) for n in rng.integers(121, 20_001, 300) for k in rng.integers(2, n, 2)]
+        pairs += [(1000, 500), (5000, 2500), (10_000, 5000), (100_000, 50_000)]
+        for n, k in pairs:
+            expected = optimize.brentq(_stationarity, (k - 1) / (n - 1), 1.0, args=(n, k), xtol=_XTOL)
+            assert CombinerSpec.solve(n, k).knee == expected, (n, k)
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x ** 3 - 0.1, -1.0, 0.5),
+        (lambda x: math.exp(x) - 1e-6, -20.0, 1.0),
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+        (lambda x: x - 0.25, 0.25, 1.0),
+        (lambda x: x - 1.0, 0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("xtol", [_XTOL, 1e-3])
+    def test_brent_steps_match_scipy_on_other_functions(self, f, a, b, xtol):
+        assert _brentq(f, a, b, xtol) == optimize.brentq(f, a, b, xtol=xtol)
+
+    def test_brent_rejects_bracket_without_sign_change(self):
+        with pytest.raises(ValueError, match="signs"):
+            _brentq(lambda x: x + 1.0, 0.0, 1.0, _XTOL)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             CombinerSpec.solve(5, 0)
@@ -171,6 +207,15 @@ class TestApply:
             alt = u * tail_ratio(n, k, grid).max()
             assert spec.apply(u) == pytest.approx(alt, abs=1e-6)
 
+    @pytest.mark.parametrize("n,k", [(10, 5), (1000, 500), (10_000, 5000), (7, 1), (7, 7)])
+    def test_bit_identical_to_both_branch_formula(self, n, k):
+        spec = CombinerSpec.solve(n, k)
+        edges = [0.0, spec.knee, np.nextafter(spec.knee, 1.0), 1.0]
+        u = np.concatenate([edges, np.random.default_rng(n + k).random(1_000_000)])
+        expected = apply_both_branches(n, k, spec.knee, spec.slope, u)
+        assert np.array_equal(spec.apply(u), expected)
+        assert all(spec.apply(e) == x for e, x in zip(edges, expected))
+
     def test_rejects_out_of_range(self):
         spec = CombinerSpec.solve(4, 2)
         with pytest.raises(ValueError):
@@ -223,3 +268,18 @@ class TestEnvelope:
 
 def test_solver_cache_returns_same_object():
     assert solve_combiner(12, 5) is solve_combiner(12, 5)
+
+
+def test_import_and_solve_leave_scipy_optimize_unloaded():
+    # the knee comes from the in-package Brent steps; scipy.optimize adds
+    # about 24 MB to the process
+    src = os.path.dirname(os.path.dirname(orderpv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; import numpy as np; import orderpv; "
+        "orderpv.combine_pvalues(np.linspace(0.01, 0.99, 301)); "
+        "orderpv.tightness_scan(10, 5, 1.0, 1000, 0); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -60,6 +60,17 @@ class TestGroupedDataset:
             with pytest.raises(ValueError, match=f"group {bad}: observations of dtype"):
                 GroupedDataset(groups)
 
+    def test_changing_groups_afterwards_changes_nothing(self):
+        data = GroupedDataset([[0.1, 0.2], [0.3]])
+        data.groups[0] = [5.0]
+        data.groups.append([0.7, 0.8, 0.9])
+        assert (data.m, data.sizes, data.total) == (2, [2, 1], 3)
+        picks = pick_one_per_group(data, np.random.default_rng(0), 1000)
+        assert picks.shape == (1000, 2)
+        assert set(picks[:, 0]) == {0.1, 0.2} and set(picks[:, 1]) == {0.3}
+        with pytest.raises(AttributeError):
+            data.groups = [[1.0]]
+
     def test_numeric_kinds_and_equal_text_kinds_mix(self):
         assert GroupedDataset([[True], [2], [3.5]])._stacked.tolist() == [1.0, 2.0, 3.5]
         assert GroupedDataset([["a"], ["bc"]])._stacked.tolist() == ["a", "bc"]
