@@ -37,8 +37,8 @@ for i in range(ROWS):
     planted[i, pair[0]] = planted[i, pair[1]] = 1
 planted_mat = BinaryMatrix(planted)
 
-assert planted_mat.row_sums.tolist() == ROW_SUMS
-assert planted_mat.col_sums.tolist() == COL_SUMS
+assert planted_mat.entries.sum(axis=1).tolist() == ROW_SUMS
+assert planted_mat.entries.sum(axis=0).tolist() == COL_SUMS
 
 print(f"matrix shape {ROWS}x{COLS}, row sums all 2, column sums all {COL_SUMS[0]}")
 print(f"squared-overlap statistic: null draw = {squared_overlap(null_mat.entries)}, "

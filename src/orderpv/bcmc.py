@@ -23,55 +23,37 @@ _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 
 
 class BinaryMatrix:
-    """Immutable 0/1 matrix with cached row and column sums."""
+    """Immutable 0/1 matrix: the validated read-only int8 `entries`."""
 
-    __slots__ = ("_entries", "_row_sums", "_col_sums")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = np.asarray(entries)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("entries must be a non-empty 2-d array")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("entries must be 0/1")
-        arr = arr.astype(np.int8)
-        arr.setflags(write=False)
-        self._entries = arr
-        self._row_sums = arr.sum(axis=1, dtype=np.int64)
-        self._col_sums = arr.sum(axis=0, dtype=np.int64)
-        self._row_sums.setflags(write=False)
-        self._col_sums.setflags(write=False)
+        self._entries = _as_binary(entries)
 
     @property
     def entries(self):
         return self._entries
 
     @property
-    def row_sums(self):
-        return self._row_sums
-
-    @property
-    def col_sums(self):
-        return self._col_sums
-
-    @property
     def shape(self):
         return self._entries.shape
 
-    def __eq__(self, other):
-        if not isinstance(other, BinaryMatrix):
-            return NotImplemented
-        return np.array_equal(self._entries, other._entries)
 
-    def __hash__(self):
-        return hash(self._entries.tobytes())
+def _as_binary(entries, ndim=2):
+    """`entries` as a read-only int8 array, checked to be non-empty, `ndim`-d and 0/1.
 
-    def __repr__(self):
-        r, c = self.shape
-        return f"BinaryMatrix({r}x{c}, row_sums={self._row_sums.tolist()})"
-
-
-def _as_entries(mat):
-    return mat.entries if isinstance(mat, BinaryMatrix) else np.asarray(mat)
+    A BinaryMatrix is not checked again: its entries already are such an array.
+    """
+    if isinstance(entries, BinaryMatrix):
+        return entries.entries
+    arr = np.asarray(entries)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"entries must be a non-empty {ndim}-d array")
+    if not np.isin(arr, (0, 1)).all():
+        raise ValueError("entries must be 0/1")
+    arr = arr.astype(np.int8)
+    arr.setflags(write=False)
+    return arr
 
 
 def _check_swappable(shape):
@@ -148,7 +130,7 @@ def checkerboard_score(mat):
     products and the sum, so the score is the same float as with an
     all-int64 computation.  Its diagonal holds the column sums.
     """
-    e = _as_entries(mat)
+    e = mat.entries if isinstance(mat, BinaryMatrix) else np.asarray(mat)
     c = e.shape[1]
     if c < 2:
         raise ValueError("need at least 2 columns")
@@ -165,8 +147,8 @@ def checkerboard_score(mat):
 class ChainConfig:
     """Length, statistic, and seed of one serial Monte Carlo run.
 
-    `statistic` is any callable on the 0/1 entries array (BinaryMatrix
-    instances are accepted too); larger values count as more extreme.
+    `statistic` is any callable on the int8 0/1 entries array; larger
+    values count as more extreme.  The seed is checked and stored as an int.
     """
 
     length: int
@@ -176,21 +158,25 @@ class ChainConfig:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("chain length must be >= 1")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-def _serial_pvalue_rng(mat, length, statistic, rng, return_trace=False):
-    """Serial construction on a caller-provided generator; see `serial_pvalue`."""
+def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
+    """Serial construction on a caller-provided generator; see `serial_pvalue`.
+
+    `entries` comes from `_as_binary`; its shape is checked at every length.
+    """
+    _check_swappable(entries.shape)
     tau = int(rng.integers(1, length + 1))
-    observed = statistic(mat.entries)
+    observed = statistic(entries)
 
     forward_trace = [] if return_trace else None
     backward_trace = [] if return_trace else None
 
     count = 1  # t = tau
-    work = np.array(mat.entries, dtype=np.int8)
+    work = np.array(entries, dtype=np.int8)
     count += _advance(work, length - tau, rng, statistic, observed, forward_trace)
-    work = np.array(mat.entries, dtype=np.int8)
+    work = np.array(entries, dtype=np.int8)
     count += _advance(work, tau - 1, rng, statistic, observed, backward_trace)
 
     pvalue = count / length
@@ -203,16 +189,18 @@ def _serial_pvalue_rng(mat, length, statistic, rng, return_trace=False):
 def serial_pvalue(mat, cfg, return_trace=False):
     """Serial Monte Carlo p-value for the no-association null.
 
-    Places the observed matrix at a uniform position tau of a length-N
-    chain, extends forward and backward with the (self-adjoint) swap kernel,
+    `mat` is a BinaryMatrix or any 0/1 array-like of at least 2x2.  Places
+    the observed matrix at a uniform position tau of a length-N chain,
+    extends forward and backward with the (self-adjoint) swap kernel,
     and returns ``#{t : stat(X_tau) <= stat(X_t)} / N``.  Output is a
     multiple of 1/N in (0, 1]; the observed position always counts.
 
     With ``return_trace=True`` also returns the statistic values in chain
     order 1..N.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(check_seed(cfg.seed)))
-    return _serial_pvalue_rng(mat, cfg.length, cfg.statistic, rng, return_trace)
+    entries = _as_binary(mat)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    return _serial_pvalue_rng(entries, cfg.length, cfg.statistic, rng, return_trace)
 
 
 def _check_margins(row_sums, col_sums):
@@ -226,22 +214,20 @@ def _check_margins(row_sums, col_sums):
         raise ValueError("margins cannot exceed the opposite dimension")
     if rows.sum() != cols.sum():
         raise ValueError("row and column sums must agree in total")
-    # Gale-Ryser feasibility for 0/1 matrices.
-    desc = np.sort(rows)[::-1]
-    for m in range(1, desc.size + 1):
-        if desc[:m].sum() > np.minimum(cols, m).sum():
-            raise ValueError("margins are not realizable by any 0/1 matrix")
     return rows, cols
 
 
 def generate_null_matrix(row_sums, col_sums, burn_in=10_000, seed=0):
     """A matrix with the given margins, randomized by `burn_in` swap steps.
 
-    Builds a feasible matrix greedily (each row's ones go to the columns
-    with the largest remaining demand) and then advances the swap chain.
+    Builds a matrix greedily (each row, largest first, puts its ones in the
+    columns with the largest remaining demand) and then advances the swap
+    chain.  The greedy build fails exactly when no 0/1 matrix has these
+    margins (the Gale-Ryser condition), so it is the feasibility check.
     Degenerate shapes with fewer than 2 rows or columns are returned as
     built: their margin class is a single matrix.
     """
+    seed = check_seed(seed)
     rows, cols = _check_margins(row_sums, col_sums)
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
@@ -259,6 +245,5 @@ def generate_null_matrix(row_sums, col_sums, burn_in=10_000, seed=0):
         caps[targets] -= 1
 
     if burn_in > 0 and rows.size >= 2 and cols.size >= 2:
-        rng = np.random.default_rng(np.random.SeedSequence(check_seed(seed)))
-        _advance(entries, burn_in, rng)
+        _advance(entries, burn_in, np.random.default_rng(np.random.SeedSequence(seed)))
     return BinaryMatrix(entries)

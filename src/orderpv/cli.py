@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .bcmc import BinaryMatrix, ChainConfig, serial_pvalue
-from .combine import combine_pvalues, default_k
+from .bcmc import ChainConfig, serial_pvalue
+from .combine import combine_pvalues
 from .correction import CombinerSpec, envelope
 from .rngs import check_seed
 from .subsample import GroupedDataset, make_bcmc_test, rank_sum_test, run_pipeline
@@ -51,7 +51,7 @@ def _resolve_seed(arg_seed):
 def read_pvalues(path):
     """One p-value per line (or a single CSV column, optional header)."""
     values = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip().rstrip(",")
             if not text:
@@ -73,10 +73,10 @@ def read_pvalues(path):
 def read_grouped_csv(path, group_col):
     """Rows of a headered CSV, grouped by the named column (first-appearance order).
 
-    Returns (keys, groups) with groups a list of lists of data-field tuples
-    (strings, excluding the group column).
+    Returns the groups: one list per group of (line number, data-field tuple)
+    pairs, the fields being strings without the group column.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -86,7 +86,6 @@ def read_grouped_csv(path, group_col):
         if group_col not in header:
             raise ValueError(f"{path}: no column named {group_col!r} in header {header}")
         gidx = header.index(group_col)
-        keys = []
         groups = {}
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not f.strip() for f in row):
@@ -95,11 +94,8 @@ def read_grouped_csv(path, group_col):
                 raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
             key = row[gidx].strip()
             fields = tuple(f.strip() for i, f in enumerate(row) if i != gidx)
-            if key not in groups:
-                keys.append(key)
-                groups[key] = []
-            groups[key].append((lineno, fields))
-    return keys, [groups[key] for key in keys]
+            groups.setdefault(key, []).append((lineno, fields))
+    return list(groups.values())
 
 
 def _to_float(path, lineno, text):
@@ -120,8 +116,8 @@ def _to_bit(path, lineno, text):
 
 
 def read_binary_matrix(path):
-    """0/1 CSV matrix with optional header row and optional leading label column."""
-    with open(path, newline="") as fh:
+    """0/1 CSV matrix as int8, with optional header row and optional leading label column."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -145,7 +141,7 @@ def read_binary_matrix(path):
     widths = {len(r) for r in data}
     if len(widths) != 1:
         raise ValueError(f"{path}: ragged rows, widths {sorted(widths)}")
-    return BinaryMatrix(np.asarray(data, dtype=np.int8))
+    return np.asarray(data, dtype=np.int8)
 
 
 # ---------------------------------------------------------------- commands
@@ -171,9 +167,7 @@ def _cmd_fnk(args):
 
 def _cmd_combine(args):
     prec = args.precision
-    values = read_pvalues(args.file)
-    k = default_k(values.size) if args.median else args.k
-    res = combine_pvalues(values, k)
+    res = combine_pvalues(read_pvalues(args.file), args.k)  # --median leaves k None
     print(f"n = {res.n}")
     print(f"k = {res.k}")
     print(f"order_stat = {_fmt(res.order_stat, prec)}")
@@ -205,7 +199,7 @@ def _cmd_validate(args):
     return EXIT_OK if report.any_violation == expect_violation else EXIT_CHECK_FAILED
 
 
-def _make_ranksum_observations(path, keys, raw_groups):
+def _make_ranksum_observations(path, raw_groups):
     groups = []
     for block in raw_groups:
         obs = []
@@ -220,18 +214,12 @@ def _make_ranksum_observations(path, keys, raw_groups):
     return groups
 
 
-def _make_bcmc_observations(path, keys, raw_groups):
+def _make_bcmc_observations(path, raw_groups):
     groups = []
-    width = None
     for block in raw_groups:
         obs = []
         for lineno, fields in block:
-            bits = [_to_bit(path, lineno, f) for f in fields]
-            if width is None:
-                width = len(bits)
-            elif len(bits) != width:
-                raise ValueError(f"{path}: line {lineno}: expected {width} data columns")
-            obs.append(np.asarray(bits, dtype=np.int8))
+            obs.append(np.asarray([_to_bit(path, lineno, f) for f in fields], dtype=np.int8))
         groups.append(obs)
     return groups
 
@@ -239,22 +227,19 @@ def _make_bcmc_observations(path, keys, raw_groups):
 def _cmd_subsample(args):
     prec = args.precision
     seed = _resolve_seed(args.seed)
-    if args.k is not None and args.median:
-        raise ValueError("--k and --median are mutually exclusive")
-    keys, raw_groups = read_grouped_csv(args.file, args.group_col)
+    raw_groups = read_grouped_csv(args.file, args.group_col)
     if args.test == "ranksum":
-        data = GroupedDataset(_make_ranksum_observations(args.file, keys, raw_groups))
+        data = GroupedDataset(_make_ranksum_observations(args.file, raw_groups))
         test = rank_sum_test
     else:
-        data = GroupedDataset(_make_bcmc_observations(args.file, keys, raw_groups))
+        data = GroupedDataset(_make_bcmc_observations(args.file, raw_groups))
         test = make_bcmc_test(chain_length=args.chain_length)
-    k = args.k if args.k is not None else default_k(args.n)
-    result = run_pipeline(data, test, args.n, k=k, seed=seed, bins=args.bins)
+    result = run_pipeline(data, test, args.n, k=args.k, seed=seed, bins=args.bins)
     print("# command = subsample")
     print(f"# seed = {seed}")
     print(f"# test = {args.test}")
     print(f"n = {args.n}")
-    print(f"k = {k}")
+    print(f"k = {result.combined.k}")
     print(f"m_groups = {data.m}")
     q1, q2, q3 = result.quartiles
     print(f"quartiles = {_fmt(q1, prec)} {_fmt(q2, prec)} {_fmt(q3, prec)}")
@@ -283,8 +268,6 @@ def _cmd_bcmc(args):
     prec = args.precision
     seed = _resolve_seed(args.seed)
     mat = read_binary_matrix(args.file)
-    if min(mat.shape) < 2:
-        raise ValueError(f"matrix must be at least 2x2, got {mat.shape[0]}x{mat.shape[1]}")
     cfg = ChainConfig(length=args.chain_length, seed=seed)
     if args.trace_out:
         pvalue, trace = serial_pvalue(mat, cfg, return_trace=True)
@@ -367,8 +350,10 @@ def build_parser():
     p.add_argument("--group-col", required=True, metavar="NAME")
     p.add_argument("--test", choices=["ranksum", "bcmc"], default="ranksum")
     p.add_argument("--n", type=int, required=True, help="number of subsample repetitions")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--median", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--k", type=int, default=None)
+    group.add_argument("--median", action="store_true",
+                       help="use the left sample median index (the default)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bins", type=int, default=20, help="histogram bins on [0,1] (default 20)")
     p.add_argument("--hist-out", metavar="FILE", help="write the histogram CSV here")

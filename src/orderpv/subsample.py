@@ -21,9 +21,9 @@ from math import comb
 
 import numpy as np
 
-from .bcmc import BinaryMatrix, _serial_pvalue_rng, checkerboard_score
+from .bcmc import _as_binary, _serial_pvalue_rng, checkerboard_score
 from .binom import _check_n
-from .combine import CombineResult, combine_pvalues, default_k
+from .combine import CombineResult, combine_pvalues
 from .rngs import CHUNK, iter_chunks, stream
 
 
@@ -146,7 +146,7 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
     if bins < 1:
         raise ValueError("bins must be >= 1")
     sample = subsample_pvalues(data, test, n, seed)
-    combined = combine_pvalues(sample, default_k(n) if k is None else k)
+    combined = combine_pvalues(sample, k)
     q1, q2, q3 = np.quantile(sample, [0.25, 0.5, 0.75])
     counts, edges = np.histogram(sample, bins=bins, range=(0.0, 1.0))
     return PipelineResult(
@@ -215,15 +215,16 @@ def make_bcmc_test(chain_length=1000, statistic=checkerboard_score):
     """Base test running the serial Monte Carlo association test on each pick.
 
     Each observation must be a 0/1 vector (one matrix row per block), so
-    `picks` has shape (b, m, c).  Each (m, c) pick is ranked within a fresh
-    chain of the given length; the chains run one after another on the
-    block's stream.
+    `picks` has shape (b, m, c).  One check and one int8 cast cover the
+    whole block.  Each (m, c) pick, which must be at least 2x2, is ranked
+    within a fresh chain of the given length; the chains run one after
+    another on the block's stream.
     """
     if chain_length < 1:
         raise ValueError("chain length must be >= 1")
 
     def base_test(picks, rng):
-        return np.array([_serial_pvalue_rng(BinaryMatrix(mat), chain_length, statistic, rng)
-                         for mat in picks])
+        return np.array([_serial_pvalue_rng(mat, chain_length, statistic, rng)
+                         for mat in _as_binary(picks, ndim=3)])
 
     return base_test

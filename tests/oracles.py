@@ -123,6 +123,21 @@ def enumerate_margin_class(row_sums, col_sums):
     return out
 
 
+def gale_ryser_feasible(row_sums, col_sums):
+    """Whether some 0/1 matrix has these margins (Gale-Ryser theorem).
+
+    With the row sums sorted in decreasing order, the m largest may together
+    use at most min(col_sum_j, m) cells of column j, for every m; the totals
+    must agree.  Margins are assumed non-negative and at most the opposite
+    dimension.
+    """
+    rows = sorted((int(x) for x in row_sums), reverse=True)
+    cols = [int(x) for x in col_sums]
+    if sum(rows) != sum(cols):
+        return False
+    return all(sum(rows[:m]) <= sum(min(x, m) for x in cols) for m in range(1, len(rows) + 1))
+
+
 def rank_sum_null_cdf_bruteforce(m1, m):
     """P(rank sum of a uniform m1-subset of 1..m <= w), by enumeration."""
     sums = [sum(sub) for sub in itertools.combinations(range(1, m + 1), m1)]

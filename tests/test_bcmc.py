@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from oracles import (
     checkerboard_score_bruteforce,
     checkerboard_score_int64,
     enumerate_margin_class,
+    gale_ryser_feasible,
 )
 
 PERM_MARGINS = ([1, 1, 1], [1, 1, 1])
@@ -28,10 +31,11 @@ def state_key(entries):
 
 
 class TestBinaryMatrix:
-    def test_caches_margins(self):
+    def test_holds_entries_and_shape(self):
         mat = BinaryMatrix([[1, 0, 1], [0, 1, 1]])
-        assert mat.row_sums.tolist() == [2, 2]
-        assert mat.col_sums.tolist() == [1, 1, 2]
+        assert mat.entries.dtype == np.int8
+        assert mat.entries.sum(axis=1).tolist() == [2, 2]
+        assert mat.entries.sum(axis=0).tolist() == [1, 1, 2]
         assert mat.shape == (2, 3)
 
     def test_entries_are_read_only(self):
@@ -46,6 +50,19 @@ class TestBinaryMatrix:
             BinaryMatrix([[0.5, 1], [1, 0]])
         with pytest.raises(ValueError):
             BinaryMatrix(np.zeros((0, 3)))
+        with pytest.raises(ValueError):
+            BinaryMatrix([1, 0, 1])
+        with pytest.raises(ValueError):
+            BinaryMatrix([[np.nan, 1], [1, 0]])
+
+    def test_wrapping_a_binary_matrix_shares_its_entries(self):
+        mat = BinaryMatrix([[1, 0], [0, 1]])
+        assert BinaryMatrix(mat).entries is mat.entries
+
+    def test_does_not_touch_the_input(self):
+        entries = np.eye(3, dtype=np.int8)
+        mat = BinaryMatrix(entries)
+        assert entries.flags.writeable and mat.entries is not entries
 
 
 class TestSwapStep:
@@ -75,8 +92,8 @@ class TestSwapStep:
         mat = generate_null_matrix([3] * 8, [4] * 6, burn_in=0, seed=0)
         work = np.array(mat.entries)
         _advance(work, 10_000, np.random.default_rng(13))
-        assert work.sum(axis=1).tolist() == mat.row_sums.tolist()
-        assert work.sum(axis=0).tolist() == mat.col_sums.tolist()
+        assert work.sum(axis=1).tolist() == mat.entries.sum(axis=1).tolist()
+        assert work.sum(axis=0).tolist() == mat.entries.sum(axis=0).tolist()
         assert np.isin(work, (0, 1)).all()
 
     def test_long_run_frequencies_uniform_on_permutation_class(self):
@@ -274,9 +291,7 @@ class TestSerialPvalue:
         ps = np.empty(reps)
         for i in range(reps):
             start = members[picker.integers(len(members))]
-            ps[i] = _serial_pvalue_rng(
-                BinaryMatrix(start), 200, checkerboard_score, stream(888, i)
-            )
+            ps[i] = _serial_pvalue_rng(start, 200, checkerboard_score, stream(888, i))
         for alpha in (0.05, 0.1, 0.25):
             se = np.sqrt(alpha * (1 - alpha) / reps)
             assert (ps <= alpha).mean() <= alpha + 3 * se
@@ -285,6 +300,45 @@ class TestSerialPvalue:
         mat = BinaryMatrix([[1, 0, 1]])
         with pytest.raises(ValueError):
             serial_pvalue(mat, ChainConfig(length=100, seed=0))
+        # the rule holds at every chain length, for plain arrays too
+        for entries in ([[1, 0, 1]], [[1], [0], [1]], [[1]]):
+            for length in (1, 2, 100):
+                for mat in (entries, BinaryMatrix(entries)):
+                    with pytest.raises(ValueError, match="at least 2 rows and 2 columns"):
+                        serial_pvalue(mat, ChainConfig(length=length, seed=0))
+
+    def test_accepts_any_binary_array_like(self):
+        entries = np.eye(2, dtype=int)
+        cfg = ChainConfig(length=1, seed=3)
+        assert serial_pvalue(entries, cfg) == serial_pvalue(BinaryMatrix(entries), cfg) == 1.0
+        mat = generate_null_matrix(*BLOCK_MARGINS, burn_in=100, seed=2)
+        cfg = ChainConfig(length=300, seed=7)
+        expected = serial_pvalue(mat, cfg)
+        for convert in (np.asarray, lambda e: e.astype(int), lambda e: e.astype(bool),
+                        lambda e: e.astype(float).tolist(), np.asfortranarray):
+            assert serial_pvalue(convert(mat.entries), cfg) == expected
+
+    def test_rejects_non_binary_array(self):
+        cfg = ChainConfig(length=10, seed=0)
+        for bad in ([[0, 2], [1, 0]], [[0.5, 1], [1, 0]], np.zeros((0, 3)), [1, 0, 1]):
+            with pytest.raises(ValueError):
+                serial_pvalue(bad, cfg)
+
+    def test_custom_statistic_receives_int8(self):
+        seen = set()
+
+        def statistic(entries):
+            seen.add((type(entries), entries.dtype))
+            return float(entries[0].sum())
+
+        serial_pvalue([[1, 0, 1], [0, 1, 0]], ChainConfig(length=20, statistic=statistic, seed=1))
+        assert seen == {(np.ndarray, np.dtype(np.int8))}
+
+    def test_seed_is_checked_once_and_stored_as_int(self):
+        cfg = ChainConfig(length=5, seed=np.uint64(2**64 - 1))
+        assert type(cfg.seed) is int and cfg.seed == 2**64 - 1
+        with pytest.raises(ValueError):
+            ChainConfig(length=5, seed=-1)
 
 
 class TestGenerateNullMatrix:
@@ -299,8 +353,8 @@ class TestGenerateNullMatrix:
     def test_margins_always_match(self):
         rows, cols = [4, 3, 2, 2, 1], [3, 3, 2, 2, 1, 1]
         mat = generate_null_matrix(rows, cols, burn_in=500, seed=6)
-        assert mat.row_sums.tolist() == rows
-        assert mat.col_sums.tolist() == cols
+        assert mat.entries.sum(axis=1).tolist() == rows
+        assert mat.entries.sum(axis=0).tolist() == cols
 
     def test_rejects_infeasible_margins(self):
         with pytest.raises(ValueError):
@@ -309,6 +363,33 @@ class TestGenerateNullMatrix:
             generate_null_matrix([2, 1], [1, 1], burn_in=0, seed=0)
         with pytest.raises(ValueError):
             generate_null_matrix([-1, 1], [0, 0], burn_in=0, seed=0)
+
+    def test_feasibility_matches_gale_ryser_up_to_4x4(self):
+        # every margin pair with equal totals up to 4x4; unequal totals are
+        # refused by the total check before the greedy build runs
+        checked = 0
+        for r, c in itertools.product(range(1, 5), repeat=2):
+            by_total = {}
+            for cols in itertools.product(range(r + 1), repeat=c):
+                by_total.setdefault(sum(cols), []).append(cols)
+            for rows in itertools.product(range(c + 1), repeat=r):
+                for cols in by_total.get(sum(rows), []):
+                    checked += 1
+                    try:
+                        mat = generate_null_matrix(rows, cols, burn_in=0, seed=0)
+                    except ValueError:
+                        assert not gale_ryser_feasible(rows, cols), (rows, cols)
+                    else:
+                        assert gale_ryser_feasible(rows, cols), (rows, cols)
+                        assert mat.entries.sum(axis=1).tolist() == list(rows)
+                        assert mat.entries.sum(axis=0).tolist() == list(cols)
+        assert checked == 47_084
+
+    @pytest.mark.parametrize("burn_in", [0, 5])
+    def test_seed_checked_at_entry(self, burn_in):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                generate_null_matrix([1, 1], [1, 1], burn_in=burn_in, seed=seed)
 
     def test_burned_in_draws_cover_class_uniformly(self):
         states = {state_key(m): i for i, m in enumerate(enumerate_margin_class(*PERM_MARGINS))}

@@ -104,6 +104,18 @@ class TestCombine:
         code, _, err = run_cli(capsys, "combine", "/nonexistent.csv", "--k", "1")
         assert code == 2
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.3\n0.5\n")
+        code, out, _ = run_cli(capsys, "combine", str(path), "--k", "1")
+        assert code == 0
+        assert "n = 2\n" in out and "order_stat = 0.3\n" in out
+
+    def test_k_and_median_together_exit_two(self, tmp_path, capsys):
+        path = write_pvalues(tmp_path / "p.csv", [0.1, 0.2])
+        code, out, err = run_cli_usage_error(capsys, "combine", path, "--k", "1", "--median")
+        assert code == 2 and out == "" and "not allowed with" in err
+
 
 class TestValidate:
     def test_consistent_run_exits_zero(self, capsys):
@@ -260,6 +272,48 @@ class TestSubsample:
         assert code == 2 and out == ""
         assert "precision must be >= 0" in err
 
+    def test_k_and_median_together_exit_two(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        path = write_grouped(tmp_path / "g.csv", self.grouped_rows(rng))
+        code, out, err = run_cli_usage_error(
+            capsys, "subsample", path, "--group-col", "day", "--n", "5", "--k", "2", "--median"
+        )
+        assert code == 2 and out == ""
+        assert "argument --median: not allowed with argument --k" in err
+
+    def test_default_k_is_left_median_of_n(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        path = write_grouped(tmp_path / "g.csv", self.grouped_rows(rng))
+        args = ["subsample", path, "--group-col", "day", "--n", "20", "--seed", "1"]
+        _, out, _ = run_cli(capsys, *args)
+        _, out_median, _ = run_cli(capsys, *args, "--median")
+        _, out_k, _ = run_cli(capsys, *args, "--k", "10")
+        assert "k = 10\n" in out and out == out_median == out_k
+
+    def test_byte_order_mark_before_header(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "g.csv"
+        write_grouped(path, self.grouped_rows(rng))
+        plain = path.read_bytes()
+        args = ["subsample", str(path), "--group-col", "day", "--n", "9", "--seed", "2"]
+        code, expected, _ = run_cli(capsys, *args)
+        assert code == 0
+        path.write_bytes(b"\xef\xbb\xbf" + plain)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        assert out == expected
+
+    @pytest.mark.parametrize("chain_length", ["1", "100"])
+    def test_bcmc_one_group_exit_two(self, tmp_path, capsys, chain_length):
+        path = write_grouped(tmp_path / "m.csv", [("a", 1, 0, 1), ("a", 0, 1, 1)],
+                             header="day,s1,s2,s3")
+        code, out, err = run_cli(
+            capsys, "subsample", path, "--group-col", "day", "--test", "bcmc",
+            "--n", "5", "--chain-length", chain_length,
+        )
+        assert code == 2 and "summary" not in out
+        assert "error: checkerboard swaps need at least 2 rows and 2 columns, got 1x3" in err
+
     def test_ranksum_needs_single_column(self, tmp_path, capsys):
         path = write_grouped(
             tmp_path / "g.csv", [("a", 0.5, 0.2), ("b", 0.1, 0.9)], header="day,x,y"
@@ -345,3 +399,22 @@ class TestBcmc:
         path.write_text("1,0,1\n")
         code, _, err = run_cli(capsys, "bcmc", str(path))
         assert code == 2
+        # the same rule and message at every chain length
+        for text, shape in (("1,0,1\n", "1x3"), ("1\n0\n1\n", "3x1")):
+            path.write_text(text)
+            for chain_length in ("1", "2", "100"):
+                code, out, err = run_cli(capsys, "bcmc", str(path), "--chain-length", chain_length)
+                assert code == 2 and out == ""
+                assert f"error: checkerboard swaps need at least 2 rows and 2 columns, got {shape}" in err
+
+    def test_byte_order_mark_keeps_first_row(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        text = "1,0,1\n0,1,0\n1,1,0\n"
+        path.write_text(text)
+        args = ["bcmc", str(path), "--chain-length", "100", "--seed", "3"]
+        code, expected, _ = run_cli(capsys, *args)
+        assert code == 0 and "rows = 3\n" in expected
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        assert out == expected

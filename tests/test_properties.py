@@ -79,3 +79,12 @@ def test_serial_pvalue_on_lattice(entries, length, seed):
     p = serial_pvalue(BinaryMatrix(entries), ChainConfig(length=length, seed=seed))
     assert 0.0 < p <= 1.0
     assert p == round(p * length) / length
+
+
+@CHAIN_SETTINGS
+@given(binary_matrices, st.integers(min_value=1, max_value=200), seeds)
+def test_serial_pvalue_same_for_plain_array(entries, length, seed):
+    cfg = ChainConfig(length=length, seed=seed)
+    expected = serial_pvalue(BinaryMatrix(entries), cfg)
+    assert serial_pvalue(entries, cfg) == expected
+    assert serial_pvalue(entries.astype(int).tolist(), cfg) == expected

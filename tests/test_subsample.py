@@ -293,3 +293,36 @@ class TestBcmcBaseTest:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             make_bcmc_test(chain_length=0)
+
+    @pytest.mark.parametrize("chain_length", [1, 100])
+    @pytest.mark.parametrize("groups", [
+        [[[1, 0, 1]]],  # one group: each pick is 1x3
+        [[[1]], [[0]], [[1]]],  # one column: each pick is 3x1
+    ])
+    def test_rejects_picks_below_two_by_two(self, groups, chain_length):
+        test = make_bcmc_test(chain_length=chain_length)
+        with pytest.raises(ValueError, match="at least 2 rows and 2 columns"):
+            subsample_pvalues(GroupedDataset(groups), test, 3, seed=0)
+
+    def test_rejects_non_binary_pick(self):
+        test = make_bcmc_test(chain_length=10)
+        for bad in (2, 0.5, np.nan):
+            data = GroupedDataset([[[1, 0]], [[0, bad]], [[1, 1]]])
+            with pytest.raises(ValueError, match="0/1"):
+                subsample_pvalues(data, test, 3, seed=0)
+        with pytest.raises(ValueError, match="3-d"):  # scalar observations
+            subsample_pvalues(GroupedDataset([[1], [0]]), test, 3, seed=0)
+
+    def test_statistic_gets_int8_picks(self):
+        # every pick of a block reaches the statistic as int8, whatever
+        # dtype the observations had
+        seen = set()
+
+        def statistic(entries):
+            seen.add((entries.dtype, entries.shape))
+            return float(entries[0].sum())
+
+        data = GroupedDataset([[[1, 0, 1], [0, 1, 1]], [[1, 1, 0]], [[0.0, 1.0, 0.0]]])
+        values = subsample_pvalues(data, make_bcmc_test(5, statistic), 20, seed=1)
+        assert np.all((values > 0) & (values <= 1))
+        assert seen == {(np.dtype(np.int8), (3, 3))}
