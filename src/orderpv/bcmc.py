@@ -49,7 +49,7 @@ def _as_binary(entries, ndim=2):
     arr = np.asarray(entries)
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"entries must be a non-empty {ndim}-d array")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("entries must be 0/1")
     arr = arr.astype(np.int8)
     arr.setflags(write=False)

@@ -8,6 +8,7 @@ output byte for byte, and `validate` gives the same bytes whatever its
 """
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -48,54 +49,34 @@ def _resolve_seed(arg_seed):
 # ---------------------------------------------------------------- parsing
 
 
-def read_pvalues(path):
-    """One p-value per line (or a single CSV column, optional header)."""
-    values = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip().rstrip(",")
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                if lineno == 1 and not values:
-                    continue  # header line
-                raise ValueError(f"{path}: line {lineno}: cannot parse {text!r} as a p-value")
-            if np.isnan(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{path}: line {lineno}: value {text} outside [0, 1]")
-            values.append(value)
-    if not values:
-        raise ValueError(f"{path}: no p-values found")
-    return np.asarray(values)
+def _read_rows(path):
+    """Non-blank rows of a CSV file as (file line where the row starts, stripped fields).
 
-
-def read_grouped_csv(path, group_col):
-    """Rows of a headered CSV, grouped by the named column (first-appearance order).
-
-    Returns the groups: one list per group of (line number, data-field tuple)
-    pairs, the fields being strings without the group column.
+    Blank lines and line breaks inside quoted fields count; a byte-order mark is dropped.
     """
+    rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        start = 1
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if group_col not in header:
-            raise ValueError(f"{path}: no column named {group_col!r} in header {header}")
-        gidx = header.index(group_col)
-        groups = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
-            key = row[gidx].strip()
-            fields = tuple(f.strip() for i, f in enumerate(row) if i != gidx)
-            groups.setdefault(key, []).append((lineno, fields))
-    return list(groups.values())
+            for row in reader:
+                fields = [f.strip() for f in row]
+                if any(fields):
+                    rows.append((start, fields))
+                start = reader.line_num + 1
+        except csv.Error as exc:  # a field beyond the csv module's size limit
+            raise ValueError(f"{path}: line {start}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    return rows
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _to_float(path, lineno, text):
@@ -115,33 +96,92 @@ def _to_bit(path, lineno, text):
     return int(value)
 
 
+def _score(path, lineno, fields):
+    """A rank-sum observation: the row's one data field as a finite number."""
+    if len(fields) != 1:
+        raise ValueError(
+            f"{path}: line {lineno}: the ranksum test needs exactly one "
+            f"data column, got {len(fields)}"
+        )
+    return _to_float(path, lineno, fields[0])
+
+
+def _bits(path, lineno, fields):
+    """A bcmc observation: the row's data fields as a 0/1 int8 vector."""
+    return np.asarray([_to_bit(path, lineno, f) for f in fields], dtype=np.int8)
+
+
+def read_pvalues(path):
+    """One p-value per row (a single CSV column); a non-numeric first row is a header."""
+    rows = _read_rows(path)
+    if not _is_number(rows[0][1][0]):
+        del rows[0]
+    values = []
+    for lineno, (text, *rest) in rows:
+        if any(rest):
+            raise ValueError(f"{path}: line {lineno}: expected one p-value, got {1 + len(rest)} fields")
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: cannot parse {text!r} as a p-value") from None
+        if np.isnan(value) or not 0.0 <= value <= 1.0:
+            raise ValueError(f"{path}: line {lineno}: value {text} outside [0, 1]")
+        values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no p-values found")
+    return np.asarray(values)
+
+
+def read_grouped_csv(path, group_col, convert):
+    """Rows of a headered CSV, grouped by the named column (first-appearance order).
+
+    Returns one list per group of ``convert(path, line, fields)``, `fields` without the group.
+    """
+    (header_line, header), *rows = _read_rows(path)
+    if group_col not in header:
+        raise ValueError(f"{path}: line {header_line}: no column named {group_col!r} in header {header}")
+    if len(header) == 1:
+        raise ValueError(f"{path}: line {header_line}: no data columns found beside {group_col!r}")
+    gidx = header.index(group_col)
+    groups = {}
+    for lineno, fields in rows:
+        if len(fields) != len(header):
+            raise ValueError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        key = fields.pop(gidx)
+        groups.setdefault(key, []).append(convert(path, lineno, fields))
+    return list(groups.values())
+
+
 def read_binary_matrix(path):
     """0/1 CSV matrix as int8, with optional header row and optional leading label column."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
+    rows = _read_rows(path)
+    if not all(map(_is_number, rows[0][1])):
+        del rows[0]  # header
     if not rows:
-        raise ValueError(f"{path}: empty file")
-
-    def _all_numeric(row):
-        for f in row:
-            try:
-                float(f)
-            except ValueError:
-                return False
-        return True
-
-    start = 0 if _all_numeric(rows[0]) else 1
-    if start == len(rows):
         raise ValueError(f"{path}: no data rows")
-    has_label = not _all_numeric(rows[start][:1])
+    first_line, first = rows[0]
+    skip = 0 if _is_number(first[0]) else 1  # the label column
+    if len(first) == skip:
+        raise ValueError(f"{path}: line {first_line}: no data columns found beside the label")
     data = []
-    for offset, row in enumerate(rows[start:], start=start + 1):
-        fields = row[1:] if has_label else row
-        data.append([_to_bit(path, offset, f) for f in fields])
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: ragged rows, widths {sorted(widths)}")
-    return np.asarray(data, dtype=np.int8)
+    for lineno, fields in rows:
+        data.append(_bits(path, lineno, fields[skip:]))
+        if len(fields) != len(first):
+            raise ValueError(f"{path}: line {lineno}: expected {len(first)} fields, got {len(fields)}")
+    return np.asarray(data)
+
+
+def _write_table(path, header, rows, metadata=None):
+    """Write a CSV table to the file `path`, or to stdout when there is none.
+
+    `metadata` becomes leading '# key = value' lines; floats are written %.10g.
+    """
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        for key, value in (metadata or {}).items():
+            fh.write(f"# {key} = {value}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -187,53 +227,21 @@ def _cmd_validate(args):
         "seed": seed,
         "shrink": args.shrink,
     }
+    _write_table(args.out, "alpha,empirical_cdf,std_err,verdict", report.rows(), metadata)
     if args.out:
-        with open(args.out, "w") as fh:
-            report.write_csv(fh, metadata)
         print(f"seed = {seed}")
         print(f"report = {args.out}")
         print(f"violations = {len(report.violations)}")
-    else:
-        report.write_csv(sys.stdout, metadata)
     expect_violation = args.shrink < 1.0
     return EXIT_OK if report.any_violation == expect_violation else EXIT_CHECK_FAILED
-
-
-def _make_ranksum_observations(path, raw_groups):
-    groups = []
-    for block in raw_groups:
-        obs = []
-        for lineno, fields in block:
-            if len(fields) != 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: the ranksum test needs exactly one "
-                    f"data column, got {len(fields)}"
-                )
-            obs.append(_to_float(path, lineno, fields[0]))
-        groups.append(obs)
-    return groups
-
-
-def _make_bcmc_observations(path, raw_groups):
-    groups = []
-    for block in raw_groups:
-        obs = []
-        for lineno, fields in block:
-            obs.append(np.asarray([_to_bit(path, lineno, f) for f in fields], dtype=np.int8))
-        groups.append(obs)
-    return groups
 
 
 def _cmd_subsample(args):
     prec = args.precision
     seed = _resolve_seed(args.seed)
-    raw_groups = read_grouped_csv(args.file, args.group_col)
-    if args.test == "ranksum":
-        data = GroupedDataset(_make_ranksum_observations(args.file, raw_groups))
-        test = rank_sum_test
-    else:
-        data = GroupedDataset(_make_bcmc_observations(args.file, raw_groups))
-        test = make_bcmc_test(chain_length=args.chain_length)
+    ranksum = args.test == "ranksum"
+    data = GroupedDataset(read_grouped_csv(args.file, args.group_col, _score if ranksum else _bits))
+    test = rank_sum_test if ranksum else make_bcmc_test(chain_length=args.chain_length)
     result = run_pipeline(data, test, args.n, k=args.k, seed=seed, bins=args.bins)
     print("# command = subsample")
     print(f"# seed = {seed}")
@@ -248,19 +256,10 @@ def _cmd_subsample(args):
     print(f"summary = {_fmt(result.summary, prec)}")
     print(f"bound = {_fmt(result.combined.bound, prec)}")
 
-    def _write_hist(fh):
-        fh.write("bin_left,bin_right,count\n")
-        for left, right, count in zip(
-            result.bin_edges[:-1], result.bin_edges[1:], result.bin_counts
-        ):
-            fh.write(f"{left:.10g},{right:.10g},{int(count)}\n")
-
+    _write_table(args.hist_out, "bin_left,bin_right,count",
+                 zip(result.bin_edges[:-1], result.bin_edges[1:], map(int, result.bin_counts)))
     if args.hist_out:
-        with open(args.hist_out, "w") as fh:
-            _write_hist(fh)
         print(f"histogram = {args.hist_out}")
-    else:
-        _write_hist(sys.stdout)
     return EXIT_OK
 
 
@@ -271,10 +270,7 @@ def _cmd_bcmc(args):
     cfg = ChainConfig(length=args.chain_length, seed=seed)
     if args.trace_out:
         pvalue, trace = serial_pvalue(mat, cfg, return_trace=True)
-        with open(args.trace_out, "w") as fh:
-            fh.write("t,statistic\n")
-            for t, value in enumerate(trace, start=1):
-                fh.write(f"{t},{value:.10g}\n")
+        _write_table(args.trace_out, "t,statistic", enumerate(trace, start=1))
     else:
         pvalue = serial_pvalue(mat, cfg)
     print("# command = bcmc")

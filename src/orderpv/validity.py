@@ -76,14 +76,6 @@ class SimReport:
         for a, e, s, v in zip(self.alpha, self.empirical_cdf, self.std_err, self.verdict):
             yield float(a), float(e), float(s), v
 
-    def write_csv(self, fh, metadata=None):
-        """Write the report as CSV; `metadata` becomes leading '# key = value' lines."""
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key} = {value}\n")
-        fh.write("alpha,empirical_cdf,std_err,verdict\n")
-        for a, e, s, v in self.rows():
-            fh.write(f"{a:.10g},{e:.10g},{s:.10g},{v}\n")
-
 
 def adversarial_kernel(n, t):
     """Worst-case kernel at atom weight t: (rng, size) -> (size, n).

@@ -320,8 +320,11 @@ class TestSerialPvalue:
 
     def test_rejects_non_binary_array(self):
         cfg = ChainConfig(length=10, seed=0)
-        for bad in ([[0, 2], [1, 0]], [[0.5, 1], [1, 0]], np.zeros((0, 3)), [1, 0, 1]):
-            with pytest.raises(ValueError):
+        other_dtypes = (np.array([["0", "1"], ["1", "0"]]), np.array([[0, "a"], [1, 0]], dtype=object),
+                        np.array([[0, 2], [1, 0]], dtype=object), np.array([[np.nan, 1.0], [1.0, 0.0]]),
+                        np.array([[0, 1j], [1, 0]]), np.array([[0, -1], [1, 0]], dtype=np.int64))
+        for bad in ([[0, 2], [1, 0]], [[0.5, 1], [1, 0]], np.zeros((0, 3)), [1, 0, 1], *other_dtypes):
+            with pytest.raises(ValueError, match="entries must be"):
                 serial_pvalue(bad, cfg)
 
     def test_custom_statistic_receives_int8(self):

@@ -3,6 +3,7 @@ import pytest
 
 from orderpv import cli, generate_null_matrix
 from orderpv.subsample import RANK_SUM_MAX_GROUPS
+from orderpv.validity import DEFAULT_ALPHA_GRID
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,31 @@ class TestCombine:
         assert code == 0
         assert "n = 2\n" in out and "order_stat = 0.3\n" in out
 
+    def test_quoted_first_value_is_not_a_header(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text('"0.3"\n0.5\n')
+        code, out, err = run_cli(capsys, "combine", str(path), "--k", "1")
+        assert code == 0, err
+        assert "n = 2\n" in out and "order_stat = 0.3\n" in out
+        path.write_text('0.3\n"0.5"\n')
+        _, out_later, _ = run_cli(capsys, "combine", str(path), "--k", "1")
+        assert out_later == out
+
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("\n\npvalue\n0.3\n\n0.5\nbad\n")
+        code, _, err = run_cli(capsys, "combine", str(path), "--k", "1")
+        assert code == 2 and f"{path}: line 7: cannot parse 'bad'" in err
+        path.write_text("\n\npvalue\n0.3\n\n0.5\n")
+        code, out, _ = run_cli(capsys, "combine", str(path), "--k", "1")
+        assert code == 0 and "n = 2\n" in out
+
+    def test_two_values_on_one_row_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("0.3\n0.5,0.2\n0.4,\n")
+        code, _, err = run_cli(capsys, "combine", str(path), "--k", "1")
+        assert code == 2 and f"{path}: line 2: expected one p-value, got 2 fields" in err
+
     def test_k_and_median_together_exit_two(self, tmp_path, capsys):
         path = write_pvalues(tmp_path / "p.csv", [0.1, 0.2])
         code, out, err = run_cli_usage_error(capsys, "combine", path, "--k", "1", "--median")
@@ -179,6 +205,17 @@ class TestValidate:
             "--shrink", "0.5", "--threads", "0",
         )
         assert code == 2 and "threads" in err
+
+    def test_report_csv_layout(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "--n", "2", "--k", "1", "--reps", "1000",
+                               "--seed", "5")
+        assert code == 0
+        lines = out.strip().splitlines()
+        metadata = ["# command = validate", "# n = 2", "# k = 1", "# reps = 1000",
+                    "# seed = 5", "# shrink = 1.0"]
+        assert lines[:6] == metadata
+        assert lines[6] == "alpha,empirical_cdf,std_err,verdict"
+        assert len(lines) == 7 + DEFAULT_ALPHA_GRID.size
 
     def test_bad_shrink_exit_two(self, capsys):
         code, _, _ = run_cli(
@@ -314,6 +351,34 @@ class TestSubsample:
         assert code == 2 and "summary" not in out
         assert "error: checkerboard swaps need at least 2 rows and 2 columns, got 1x3" in err
 
+    @pytest.mark.parametrize("test", ["ranksum", "bcmc"])
+    def test_group_column_only_exit_two(self, tmp_path, capsys, test):
+        path = tmp_path / "g.csv"
+        path.write_text("\nday\na\nb\n")
+        code, out, err = run_cli(capsys, "subsample", str(path), "--group-col", "day",
+                                 "--test", test, "--n", "5")
+        assert code == 2 and out == ""
+        assert f"error: {path}: line 2: no data columns found beside 'day'" in err
+
+    def test_error_names_file_line_past_blank_and_multiline_rows(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_text('\nday,score\n"a\nb",0.1\n\nc,0.2\nc,nan\n')
+        code, _, err = run_cli(capsys, "subsample", str(path), "--group-col", "day", "--n", "5")
+        assert code == 2 and f"{path}: line 7: non-finite value 'nan'" in err
+
+    def test_quoted_fields_and_leading_blank_lines(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        rows = self.grouped_rows(rng)
+        path = tmp_path / "g.csv"
+        write_grouped(path, rows)
+        args = ["subsample", str(path), "--group-col", "day", "--n", "9", "--seed", "2"]
+        code, expected, _ = run_cli(capsys, *args)
+        assert code == 0
+        path.write_text('\n\n"day","score"\n' + "".join(f'"{d}","{x}"\n' for d, x in rows))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0, err
+        assert out == expected
+
     def test_ranksum_needs_single_column(self, tmp_path, capsys):
         path = write_grouped(
             tmp_path / "g.csv", [("a", 0.5, 0.2), ("b", 0.1, 0.9)], header="day,x,y"
@@ -393,6 +458,32 @@ class TestBcmc:
         path.write_text("1,0\n0,2\n")
         code, _, err = run_cli(capsys, "bcmc", str(path))
         assert code == 2 and "line 2" in err
+
+    def test_error_names_file_line_past_blank_lines(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b,c\n\n1,0,1\n\n0,1,2\n")
+        code, _, err = run_cli(capsys, "bcmc", str(path))
+        assert code == 2
+        assert f"error: {path}: line 5: non-binary entry '2'" in err
+
+    def test_ragged_row_names_line(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("1,0,1\n\n0,1,0\n1,1\n")
+        code, _, err = run_cli(capsys, "bcmc", str(path))
+        assert code == 2 and f"error: {path}: line 4: expected 3 fields, got 2" in err
+
+    def test_oversized_field_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("1,0\n\n0," + "1" * 200_000 + "\n")
+        code, _, err = run_cli(capsys, "bcmc", str(path))
+        assert code == 2 and f"error: {path}: line 3: field larger than field limit" in err
+
+    def test_label_only_row_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("date,a,b\n\n2006-02-03\n")
+        code, out, err = run_cli(capsys, "bcmc", str(path))
+        assert code == 2 and out == ""
+        assert f"error: {path}: line 3: no data columns found beside the label" in err
 
     def test_degenerate_shape_exit_two(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

@@ -3,11 +3,14 @@
 Every run must end in exit 0 or exit 2 (usage or data error) with an
 ``error:`` line on stderr; exit 3 (internal numeric failure) means some bad
 input slipped past the checks.  About half of the inputs are well formed, so
-the success path runs too.  Sizes stay small (--n and --chain-length at most
-50) so that no example is slow.
+the success path runs too.  A last property writes one table in many CSV
+layouts and requires the same output from each, and an error that names the
+file line of a planted bad cell.  Sizes stay small (--n and --chain-length at
+most 50) so that no example is slow.
 """
 
 import contextlib
+import csv
 import io
 import os
 import tempfile
@@ -28,7 +31,7 @@ chain_lengths = st.integers(min_value=0, max_value=50)
 
 
 def run(argv, text, bom):
-    """Run the CLI on `text` written to a file; returns (exit code, stderr)."""
+    """Run the CLI on `text` written to a file; returns (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -39,10 +42,10 @@ def run(argv, text, bom):
                 code = cli.main([argv[0], path, *argv[1:]])
             except SystemExit as exc:  # argparse refused the arguments
                 code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue().replace(path, "INPUT")
 
 
-def check_exit(code, err):
+def check_exit(code, out, err):
     assert code in (0, 2), (code, err)
     if code == 2:
         assert "error:" in err, err
@@ -115,3 +118,58 @@ def test_bcmc(header, labels, width, data, chain_length, bom):
     check_exit(*run(["bcmc", "--chain-length", str(chain_length), "--seed", "2"],
                     header + body, bom))
 
+
+# Per command: its arguments, a header, a row maker (index, draw) -> fields,
+# the columns a bad cell may go in, and the bad cells.
+LAYOUT_COMMANDS = {
+    "combine": (["combine", "--median"], ["pvalue"],
+                lambda i, draw: [draw(st.sampled_from(["0.1", "0.25", "0.5", "1"]))],
+                [0], ["1.5", "-0.1", "nan", "abc"]),
+    "subsample": (["subsample", "--group-col", "g", "--n", "20", "--seed", "1"], ["g", "score"],
+                  lambda i, draw: [draw(st.sampled_from(["a", "b", "c\nd"])) if i > 1 else "ab"[i],
+                                   draw(st.sampled_from(["0.1", "0.7", "3"]))],
+                  [1], ["nan", "inf", "abc", ""]),
+    "bcmc": (["bcmc", "--chain-length", "20", "--seed", "2"], ["id", "a", "b", "c"],
+             lambda i, draw: [f"r{i}\nx" if draw(st.booleans()) else f"r{i}",
+                              *draw(st.lists(st.sampled_from("01"), min_size=3, max_size=3))],
+             [1, 2, 3], ["2", "0.5", "nan", "abc"]),
+}
+
+
+def write_layout(rows, quoting, lineterminator, blanks):
+    """`rows` in one CSV layout; returns the text and the file line each row starts on."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=quoting, lineterminator=lineterminator)
+    starts = []
+    for row, gap in zip(rows, blanks):
+        buf.write(lineterminator * gap)
+        starts.append(buf.getvalue().count("\n") + 1)
+        writer.writerow(row)
+    return buf.getvalue(), starts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(LAYOUT_COMMANDS)),
+    data=st.data(),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    lineterminator=st.sampled_from(["\n", "\r\n"]),
+    bom=st.booleans(),
+)
+def test_layouts_read_alike_and_errors_name_the_file_line(command, data, quoting, lineterminator,
+                                                           bom):
+    argv, header, make_row, bad_columns, bad_cells = LAYOUT_COMMANDS[command]
+    rows = [header] + [make_row(i, data.draw) for i in range(data.draw(st.integers(2, 6)))]
+    blanks = data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    plain, _ = write_layout(rows, csv.QUOTE_MINIMAL, "\n", [0] * len(rows))
+    text, _ = write_layout(rows, quoting, lineterminator, blanks)
+    expected = run(argv, plain, bom=False)
+    assert expected[0] == 0, expected
+    assert run(argv, text, bom) == expected
+
+    i = data.draw(st.integers(1, len(rows) - 1))
+    rows[i][data.draw(st.sampled_from(bad_columns))] = data.draw(st.sampled_from(bad_cells))
+    text, starts = write_layout(rows, quoting, lineterminator, blanks)
+    code, out, err = run(argv, text, bom)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: INPUT: line {starts[i]}: "), (err, text)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from scipy import special
@@ -220,16 +218,6 @@ class TestCheckValidity:
         cfg = SimConfig(n=4, k=2, reps=100, seed=0)
         with pytest.raises(ValueError, match="threads"):
             check_validity(cfg, lambda u: u, uniform_kernel(4), threads=threads)
-
-    def test_report_csv_layout(self):
-        cfg = SimConfig(n=2, k=1, reps=1000, seed=5)
-        report = check_validity(cfg, lambda u: np.minimum(1, 2 * u), uniform_kernel(2))
-        buf = io.StringIO()
-        report.write_csv(buf, {"seed": 5})
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "# seed = 5"
-        assert lines[1] == "alpha,empirical_cdf,std_err,verdict"
-        assert len(lines) == 2 + cfg.alpha_grid.size
 
 
 def orderstat_zscore(n, k, q, reps, seed):
