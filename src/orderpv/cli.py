@@ -66,6 +66,8 @@ def _read_rows(path):
                 start = reader.line_num + 1
         except csv.Error as exc:  # a field beyond the csv module's size limit
             raise ValueError(f"{path}: line {start}: {exc}") from None
+        except UnicodeDecodeError as exc:  # the decoder knows no line
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     return rows
@@ -153,10 +155,15 @@ def read_grouped_csv(path, group_col, convert):
 
 
 def read_binary_matrix(path):
-    """0/1 CSV matrix as int8, with optional header row and optional leading label column."""
+    """0/1 CSV matrix as int8, with optional header row and optional leading label column.
+
+    The first row is a header when a field after its first is not a number
+    (or its one field is not): a first field alone may be a row label.
+    """
     rows = _read_rows(path)
-    if not all(map(_is_number, rows[0][1])):
-        del rows[0]  # header
+    first = rows[0][1]
+    if not all(map(_is_number, first[1:] or first)):
+        del rows[0]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     first_line, first = rows[0]

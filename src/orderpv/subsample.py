@@ -218,7 +218,8 @@ def make_bcmc_test(chain_length=1000, statistic=checkerboard_score):
     `picks` has shape (b, m, c).  One check and one int8 cast cover the
     whole block.  Each (m, c) pick, which must be at least 2x2, is ranked
     within a fresh chain of the given length; the chains run one after
-    another on the block's stream.
+    another on the block's stream.  `statistic` maps a stack of chain
+    states to their values, as in `ChainConfig`.
     """
     if chain_length < 1:
         raise ValueError("chain length must be >= 1")

@@ -184,8 +184,8 @@ def advance_reference(work, steps, rng, statistic=None, threshold=None, trace=No
 
     Draws the same index blocks from `rng` as the production chain and
     applies the same rule: flip the 2x2 corners when they form a
-    checkerboard; evaluate `statistic` after each step, reusing the last
-    value while the state is unchanged.
+    checkerboard; evaluate `statistic` after each step on a stack of one
+    state, reusing the last value while the state is unchanged.
     """
     if steps <= 0:
         return 0
@@ -215,7 +215,7 @@ def advance_reference(work, steps, rng, statistic=None, threshold=None, trace=No
                 current = None
             if statistic is not None:
                 if current is None:
-                    current = statistic(work)
+                    current = statistic(work[None])[0]
                 if trace is not None:
                     trace.append(current)
                 if threshold is not None and current >= threshold:

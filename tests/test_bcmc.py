@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from orderpv import GroupedDataset, make_bcmc_test, subsample_pvalues
 from orderpv.bcmc import (
+    _STACK_BYTES,
     BinaryMatrix,
     ChainConfig,
     _advance,
@@ -138,14 +140,25 @@ def layouts(entries):
 
 
 class TestAdvanceMatchesReference:
-    """`_advance` against the numpy-indexed loop in `oracles`, state by state."""
+    """`_advance` against the numpy-indexed loop in `oracles`, state by state.
+
+    The reference scores every state on its own, as a stack of one; the
+    chain stacks states, so these tests also show the stacking is exact.
+    """
 
     @staticmethod
     def run(advance, work, steps, seed):
+        """Each step's state, each scored state and the generator state."""
         rng = np.random.default_rng(seed)
-        states = []
-        advance(work, steps, rng, lambda w: w.tobytes(), trace=states)
-        return states, rng.bit_generator.state
+        states, scored = [], []
+
+        def record_states(stack):  # a state's value is its bytes
+            values = [state.tobytes() for state in stack]
+            scored.extend(values)
+            return values
+
+        advance(work, steps, rng, record_states, trace=states)
+        return states, scored, rng.bit_generator.state
 
     def test_every_state_on_random_small_matrices(self):
         picker = np.random.default_rng(5)
@@ -161,15 +174,72 @@ class TestAdvanceMatchesReference:
             if i % 3 == 2:  # cells outside the strided view are untouched
                 assert np.count_nonzero(work.base == 7) == work.base.size - work.size
 
-    def test_count_and_trace_across_blocks(self):
-        mat = generate_null_matrix([3] * 8, [4] * 6, burn_in=0, seed=0)
+    @staticmethod
+    def run_scored(mat, steps, seed):
+        """Count, trace, final state and generator state of both chains."""
         observed = checkerboard_score(mat)
         results = []
         for advance in (_advance, advance_reference):
-            work, rng, trace = np.array(mat.entries), np.random.default_rng(77), []
-            count = advance(work, 2 * 8192 + 5, rng, checkerboard_score, observed, trace)
+            work, rng, trace = np.array(mat.entries), np.random.default_rng(seed), []
+            count = advance(work, steps, rng, checkerboard_score, observed, trace)
             results.append((count, trace, work.tobytes(), rng.bit_generator.state))
-        assert results[0] == results[1]
+        return results
+
+    def test_count_and_trace_across_blocks(self):
+        mat = generate_null_matrix([3] * 8, [4] * 6, burn_in=0, seed=0)
+        got, want = self.run_scored(mat, 2 * 8192 + 5, 77)
+        assert got == want
+
+    def test_count_and_trace_across_stack_flushes(self):
+        # a 40x20 state is 800 bytes, so a stack holds 40 of the ~1000
+        # states of this chain
+        mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
+        got, want = self.run_scored(mat, 10_000, 78)
+        assert got == want
+        assert len(set(got[1])) > _STACK_BYTES // mat.entries.size
+
+    def test_count_and_trace_when_one_state_exceeds_the_stack(self):
+        mat = generate_null_matrix([100] * 200, [100] * 200, burn_in=500, seed=1)
+        assert mat.entries.size > _STACK_BYTES
+        got, want = self.run_scored(mat, 200, 79)
+        assert got == want
+        assert len(set(got[1])) > 2
+
+
+class TestStackedStatistic:
+    """The chain scores its states in stacks of bounded size."""
+
+    @staticmethod
+    def recording(calls):
+        def statistic(stack):
+            calls.append(stack.shape)
+            return checkerboard_score(stack)
+        return statistic
+
+    def test_stack_bytes_are_bounded(self):
+        mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
+        calls = []
+        p = serial_pvalue(mat, ChainConfig(length=10_000, statistic=self.recording(calls), seed=4))
+        assert p == serial_pvalue(mat, ChainConfig(length=10_000, seed=4))
+        assert calls[0] == (1, 40, 20)  # the observed state
+        assert all(np.prod(shape) <= _STACK_BYTES for shape in calls)
+        # about 1000 accepted swaps, scored in a few dozen calls
+        assert sum(shape[0] for shape in calls) > 500
+        assert len(calls) <= 40
+
+    def test_a_state_beyond_the_bound_goes_alone(self):
+        mat = generate_null_matrix([100] * 200, [100] * 200, burn_in=0, seed=1)
+        calls = []
+        serial_pvalue(mat, ChainConfig(length=50, statistic=self.recording(calls), seed=2))
+        assert len(calls) > 3
+        assert set(calls) == {(1, 200, 200)}
+
+    def test_chain_length_does_not_grow_the_stack(self):
+        mat = generate_null_matrix(*BLOCK_MARGINS, burn_in=100, seed=2)
+        calls = []
+        serial_pvalue(mat, ChainConfig(length=50_000, statistic=self.recording(calls), seed=3))
+        assert max(np.prod(shape) for shape in calls) <= _STACK_BYTES
+        assert len(calls) > 2
 
 
 class TestChainPins:
@@ -216,6 +286,28 @@ class TestChainPins:
         assert p == 1.0
         assert np.array_equal(trace, np.asarray(sums) / 380)
 
+    def test_subsample_pvalues(self):
+        # the paper's application: one serial p-value per subsampled pick
+        data = GroupedDataset([
+            [[1, 0, 1, 0], [0, 1, 1, 0]],
+            [[1, 1, 0, 0]],
+            [[0, 0, 1, 1], [1, 0, 0, 1], [0, 1, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 1, 1]],
+            [[0, 1, 0, 0]],
+            [[1, 1, 1, 0], [0, 0, 0, 1]],
+        ])
+        counts = (
+            [50, 50, 43, 50, 50, 50, 49, 42, 50, 50, 50, 50, 50, 49, 50, 50, 50, 50, 50, 37,
+             50, 50, 50, 50, 50, 50, 50, 50, 50, 49, 50, 50, 34, 40, 46, 50, 43, 50, 50, 50],
+            [42, 50, 50, 36, 50, 50, 46, 50, 50, 40, 50, 50, 50, 50, 50, 50, 50, 46, 46, 50,
+             50, 50, 50, 50, 49, 50, 50, 50, 50, 50, 50, 48, 50, 50, 50, 50, 50, 50, 50, 50],
+            [42, 48, 50, 50, 50, 50, 50, 50, 50, 50, 46, 50, 49, 50, 50, 50, 45, 48, 50, 50,
+             50, 50, 49, 46, 50, 32, 48, 50, 50, 47, 41, 43, 50, 50, 50, 50, 50, 48, 50, 42],
+        )
+        for seed, want in enumerate(counts):
+            values = subsample_pvalues(data, make_bcmc_test(50), 40, seed)
+            assert values.tolist() == [count / 50 for count in want]
+
 
 class TestStatistics:
     def test_checkerboard_score_matches_bruteforce(self):
@@ -236,6 +328,17 @@ class TestStatistics:
             entries[:, rng.random(c) < 0.1] = True  # all-one columns
             expected = checkerboard_score_int64(entries)
             assert checkerboard_score(inputs[i % 4](entries)) == expected, (i, r, c)
+
+    def test_checkerboard_score_of_a_stack_is_per_matrix(self):
+        # each score equals the matrix's own, whatever stack it is in
+        rng = np.random.default_rng(31)
+        for r, c in ((6, 4), (40, 20), (1, 2), (13, 7)):
+            stack = rng.random((25, r, c)) < rng.random()
+            scores = checkerboard_score(stack.astype(np.int8))
+            assert scores.shape == (25,)
+            assert scores.tolist() == [checkerboard_score_int64(m) for m in stack]
+            assert checkerboard_score(stack[3:4]).tolist() == [scores[3]]
+        assert checkerboard_score(np.zeros((0, 3, 3), dtype=np.int8)).shape == (0,)
 
     def test_checkerboard_score_varies_across_class(self):
         scores = {round(checkerboard_score(m), 9) for m in enumerate_margin_class(*BLOCK_MARGINS)}
@@ -330,12 +433,13 @@ class TestSerialPvalue:
     def test_custom_statistic_receives_int8(self):
         seen = set()
 
-        def statistic(entries):
-            seen.add((type(entries), entries.dtype))
-            return float(entries[0].sum())
+        def statistic(stack):
+            seen.add((type(stack), stack.dtype, stack.shape[1:]))
+            return stack[:, 0].sum(axis=1).astype(float)
 
-        serial_pvalue([[1, 0, 1], [0, 1, 0]], ChainConfig(length=20, statistic=statistic, seed=1))
-        assert seen == {(np.ndarray, np.dtype(np.int8))}
+        mat = [[1, 0, 1], [0, 1, 0], [1, 1, 0]]
+        serial_pvalue(mat, ChainConfig(length=20, statistic=statistic, seed=1))
+        assert seen == {(np.ndarray, np.dtype(np.int8), (3, 3))}
 
     def test_seed_is_checked_once_and_stored_as_int(self):
         cfg = ChainConfig(length=5, seed=np.uint64(2**64 - 1))

@@ -137,6 +137,13 @@ class TestCombine:
         code, _, err = run_cli(capsys, "combine", str(path), "--k", "1")
         assert code == 2 and f"{path}: line 2: expected one p-value, got 2 fields" in err
 
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"0.3\n0.5\n\xff\n")
+        code, out, err = run_cli(capsys, "combine", str(path), "--median")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
     def test_k_and_median_together_exit_two(self, tmp_path, capsys):
         path = write_pvalues(tmp_path / "p.csv", [0.1, 0.2])
         code, out, err = run_cli_usage_error(capsys, "combine", path, "--k", "1", "--median")
@@ -418,6 +425,18 @@ class TestBcmc:
         )
         assert code == 0
         assert "rows = 4" in out and "cols = 3" in out
+
+    def test_labelled_matrix_without_header_keeps_first_row(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("r0,1,0\nr1,0,1\nr2,1,1\n")
+        args = ["bcmc", str(path), "--chain-length", "100", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0 and "rows = 3\n" in out and "cols = 2\n" in out
+        # the same rows behind a header give the same output
+        path.write_text("id,a,b\nr0,1,0\nr1,0,1\nr2,1,1\n")
+        assert run_cli(capsys, *args)[1] == out
+        path.write_text("1,0\n0,1\n1,1\n")
+        assert run_cli(capsys, *args)[1] == out
 
     def test_reproducible_multiple_of_inverse_length(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -318,11 +318,11 @@ class TestBcmcBaseTest:
         # dtype the observations had
         seen = set()
 
-        def statistic(entries):
-            seen.add((entries.dtype, entries.shape))
-            return float(entries[0].sum())
+        def statistic(stack):
+            seen.add((type(stack), stack.dtype, stack.shape[1:]))
+            return stack[:, 0].sum(axis=1).astype(float)
 
         data = GroupedDataset([[[1, 0, 1], [0, 1, 1]], [[1, 1, 0]], [[0.0, 1.0, 0.0]]])
         values = subsample_pvalues(data, make_bcmc_test(5, statistic), 20, seed=1)
         assert np.all((values > 0) & (values <= 1))
-        assert seen == {(np.dtype(np.int8), (3, 3))}
+        assert seen == {(np.ndarray, np.dtype(np.int8), (3, 3))}
