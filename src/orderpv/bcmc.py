@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binom import _check_n
 from .rngs import check_seed
 
 _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
@@ -78,11 +79,15 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
 
     The indices of a block are drawn as numpy arrays (one `rng.integers` call
     per corner, so the random stream is fixed by the block layout) and then
-    turned into Python ints, and the cells are read and written through a
-    memoryview of a C-contiguous copy of `work` (`work` itself when it is
-    C-contiguous; a copy is written back at the end).  Indexing a numpy
-    array with numpy scalars costs about 100 ns per access; a memoryview
-    indexed with Python ints is several times cheaper.
+    turned into Python ints.  The state is copied once into a bytearray,
+    whatever the layout of `work`, and written back at the end.  The loop
+    reads and writes cells through one 1-D memoryview per row of it,
+    `rows[r1][c1]`: a list lookup and a 1-D index cost less than a tuple
+    index into a 2-D memoryview (on a 2-core x86 host, 10**4 steps of a
+    40x20 chain without a statistic took 3.6 ms with that and 2.1 ms with
+    the row views).  Flat indices r1 * c + c1 are not precomputed: above 256
+    they are not cached small ints, and the four lists of one block add
+    about 0.7 MB to the traced peak of a 40x20 chain.
 
     The statistic is not called inside the loop.  A state keeps its value
     until the next accepted swap, so the loop only appends a byte snapshot
@@ -90,16 +95,20 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
     is scored in one call when it is full (`_STACK_BYTES`; a larger state
     goes alone) and at the end, and each value counts once per step its
     state lasts.  One numpy call costs several microseconds whatever its
-    size, so on a 40x20 chain, where about one step in ten is accepted,
-    this takes the statistic from about 80 % of the chain's time to 45 %.
+    size, and on a 40x20 chain about one step in ten is accepted.  Scored
+    one state at a time, the statistic took about 80 % of such a chain's
+    time; in stacks it takes about half: 10**4 steps took 2.1 ms without a
+    statistic, 2.7 ms with one that costs nothing, and 5.9 ms with
+    `checkerboard_score`.
     """
     if steps <= 0:
         return 0
     _check_swappable(work.shape)
-    state = np.ascontiguousarray(work)
-    cells = memoryview(state)
-    r, c = state.shape
-    full = max(1, _STACK_BYTES // state.size) * state.size  # bytes of a full stack
+    r, c = work.shape
+    cells = bytearray(work.tobytes())
+    view = memoryview(cells)
+    rows = [view[i * c:(i + 1) * c] for i in range(r)]
+    full = max(1, _STACK_BYTES // len(cells)) * len(cells)  # bytes of a full stack
     stack = None if statistic is None else bytearray(cells)
     starts = [0]  # the step at which each stacked state begins
     count = 0
@@ -114,25 +123,26 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
         j2 = j2 + (j2 >= j1)
         for t, r1, r2, c1, c2 in zip(range(done, done + b), i1.tolist(), i2.tolist(),
                                      j1.tolist(), j2.tolist()):
-            a = cells[r1, c1]
-            bb = cells[r1, c2]
-            if a != bb and cells[r2, c2] == a and cells[r2, c1] == bb:
-                cells[r1, c1] = bb
-                cells[r2, c2] = bb
-                cells[r1, c2] = a
-                cells[r2, c1] = a
+            row1 = rows[r1]
+            row2 = rows[r2]
+            a = row1[c1]
+            bb = row1[c2]
+            if a != bb and row2[c2] == a and row2[c1] == bb:
+                row1[c1] = bb
+                row2[c2] = bb
+                row1[c2] = a
+                row2[c1] = a
                 if stack is not None:
                     if len(stack) == full:
-                        count += _score_stack(stack, starts, t, state.shape, statistic,
+                        count += _score_stack(stack, starts, t, work.shape, statistic,
                                               threshold, trace)
                         stack, starts = bytearray(), []
                     stack += cells
                     starts.append(t)
         done += b
     if stack is not None:
-        count += _score_stack(stack, starts, steps, state.shape, statistic, threshold, trace)
-    if state is not work:
-        work[...] = state
+        count += _score_stack(stack, starts, steps, work.shape, statistic, threshold, trace)
+    work[...] = np.frombuffer(cells, dtype=np.int8).reshape(r, c)
     return count
 
 
@@ -171,28 +181,35 @@ def checkerboard_score(mats):
     one matrix (2-D array, list or BinaryMatrix) gives one float.  The chain
     scores the states it visits as stacks because each call costs several
     microseconds whatever its size: on a 2-core x86 host about 1000 states
-    of 40x20 took 3.7-4.6 ms in stacks of 40 and 13 ms one by one.
+    of 40x20 took 2.3 ms in stacks of 40 and 12.5 ms one by one.
 
-    The column-overlap matrices are one float64 `np.matmul` (numpy has no
-    BLAS path for int64, which is several times slower).  For 0/1 entries it
-    is exact: every entry, and every partial sum of the product, is an
-    integer count of at most `rows` < 2**53.  It is cast back to int64
-    before the products and the sum, so each score is the same float as
-    with an all-int64 computation, whatever stack the matrix is in.  The
-    diagonal of an overlap matrix holds the column sums.
+    No c x c array of the differences is built.  With O = X^T X the column
+    overlaps of an r x c matrix X, s = diag(O) its column sums and N = sum(s)
+    its ones, the sum over the c(c-1) ordered column pairs is
+
+        c(c-1) * score = N**2 - 2 * sum_j' (sum_j O[j, j']) * s[j'] + sum_jj' O[j, j']**2,
+
+    since a pair j = j' adds nothing (O[j, j] = s[j]).  O is one float64
+    `np.matmul` of a C-contiguous copy of the transposed stack with the
+    stack: numpy has no BLAS path for int64, and BLAS multiplies the
+    transposed view more slowly than the copy.  For 0/1 entries it is
+    exact, as every entry and partial sum is an integer count of at most
+    r < 2**53.  It is cast to int64 before the reductions, where each term
+    is at most 2 * (r * c)**2, so the numerator is exact for r * c < 2**31
+    and each score is the same float as with the all-int64 sum of the
+    products, whatever stack the matrix is in.
     """
     e = mats.entries if isinstance(mats, BinaryMatrix) else np.asarray(mats)
     c = e.shape[-1]
     if c < 2:
         raise ValueError("need at least 2 columns")
     f = e.astype(np.float64)
-    overlap = np.matmul(f.swapaxes(-1, -2), f).astype(np.int64)
-    # col_sum_j - overlap(j, j')
-    gap = np.diagonal(overlap, axis1=-2, axis2=-1)[..., :, None] - overlap
-    # summing gap * gap.T gives (col_j - overlap)(col_j' - overlap); on the
-    # diagonal it vanishes, so the pair mean is the full sum over c*(c-1)
-    # ordered pairs.
-    return np.einsum("...ij,...ji->...", gap, gap) / (c * (c - 1))
+    overlap = np.matmul(np.ascontiguousarray(f.swapaxes(-1, -2)), f).astype(np.int64)
+    col = np.diagonal(overlap, axis1=-2, axis2=-1)
+    ones = col.sum(axis=-1)
+    cross = np.einsum("...ij,...j->...", overlap, col)
+    square = np.einsum("...ij,...ij->...", overlap, overlap)
+    return (ones * ones - 2 * cross + square) / (c * (c - 1))
 
 
 @dataclass(frozen=True)
@@ -201,8 +218,8 @@ class ChainConfig:
 
     `statistic` maps a (B, r, c) int8 stack of 0/1 matrices to their (B,)
     values; larger values count as more extreme.  A matrix must get the
-    same value whatever stack it is in.  The seed is checked and stored as
-    an int.
+    same value whatever stack it is in.  The length and the seed are
+    checked and stored as ints; a non-integral one is refused.
     """
 
     length: int
@@ -210,8 +227,7 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("chain length must be >= 1")
+        object.__setattr__(self, "length", _check_n(self.length, "chain length"))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 

@@ -12,11 +12,15 @@ ndarray.  ``n`` and ``k`` are scalars.
 import numpy as np
 from scipy import special
 
+from .rngs import integral
 
-def _check_n(n):
-    if n != int(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return int(n)
+
+def _check_n(n, name="n"):
+    """`n` as an int >= 1; a non-integral value is refused, not truncated."""
+    value = integral(n)
+    if value is None or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    return value
 
 
 def _check_nk(n, k):

@@ -13,12 +13,25 @@ import numpy as np
 CHUNK = 1 << 14
 
 
+def integral(value):
+    """`value` as an int when it is a whole number, else None; never truncates."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
 def check_seed(seed):
-    """Validate and return a 64-bit unsigned seed."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    """Validate and return a 64-bit unsigned seed as an int.
+
+    A non-integral seed such as 1.5 is refused, not truncated: truncating
+    would run another seed's streams under this one's name.
+    """
+    value = integral(seed)
+    if value is None or not 0 <= value < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return value
 
 
 def stream(seed, index):

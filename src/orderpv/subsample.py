@@ -103,11 +103,16 @@ def subsample_pvalues(data, test, n, seed):
     """n independent repetitions of pick-then-test; conditionally i.i.d. given data.
 
     The test is called once per block of at most `rngs.CHUNK` repetitions.
+    More than `MAX_REPETITIONS` repetitions raise ValueError before the
+    sample is allocated.
     A block whose test raises, or returns anything but one value in [0, 1]
     per repetition, aborts the whole run: silently dropping repetitions
     would bias the conditional i.i.d. structure.
     """
     n = _check_n(n)
+    if n > MAX_REPETITIONS:
+        raise ValueError(f"at most MAX_REPETITIONS = {MAX_REPETITIONS} repetitions are "
+                         f"supported, got {n}")
     out = np.empty(n)
     for index, length in iter_chunks(n):
         rng = stream(seed, index)
@@ -159,6 +164,10 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
         bin_counts=counts,
     )
 
+
+# Most repetitions one subsample run accepts: its float64 sample is 1 GiB.
+# The count is checked before the sample is allocated.
+MAX_REPETITIONS = 2**27
 
 # Largest group count the exact rank-sum test accepts.  Its cached CDF table
 # holds (m/2 + 1) * (m(m+1)/2 + 1) float64 entries: 16 MB and about 0.2 s to
@@ -221,8 +230,7 @@ def make_bcmc_test(chain_length=1000, statistic=checkerboard_score):
     another on the block's stream.  `statistic` maps a stack of chain
     states to their values, as in `ChainConfig`.
     """
-    if chain_length < 1:
-        raise ValueError("chain length must be >= 1")
+    chain_length = _check_n(chain_length, "chain length")
 
     def base_test(picks, rng):
         return np.array([_serial_pvalue_rng(mat, chain_length, statistic, rng)

@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .binom import _check_nk, _check_p
+from .binom import _check_n, _check_nk, _check_p
 from .correction import solve_combiner
 from .rngs import check_seed, iter_chunks, stream
 
@@ -32,7 +32,11 @@ SIGMA_RULE = 3.0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication plan for a validity study."""
+    """Replication plan for a validity study.
+
+    `reps` and `seed` are checked and stored as ints; a non-integral one is
+    refused.
+    """
 
     n: int
     k: int
@@ -42,9 +46,8 @@ class SimConfig:
 
     def __post_init__(self):
         _check_nk(self.n, self.k)
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        check_seed(self.seed)
+        object.__setattr__(self, "reps", _check_n(self.reps, "reps"))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         grid = _check_p(self.alpha_grid, "alpha_grid")
         if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("alpha_grid must be a non-empty, strictly increasing 1-d vector")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestAdvanceMatchesReference:
         assert got == want
         assert len(set(got[1])) > _STACK_BYTES // mat.entries.size
 
+    @pytest.mark.parametrize("shape", [(300, 4), (4, 300)])
+    def test_every_state_and_count_on_long_rows_and_columns(self, shape):
+        # the row indices of 300x4 and the column indices of 4x300 go above
+        # 256, past Python's cached small ints, through the row views
+        entries = np.random.default_rng(80).random(shape) < 0.15
+        for i, (work, ref) in enumerate(zip(layouts(entries), layouts(entries))):
+            got = self.run(_advance, work, 10_000, 81 + i)
+            want = self.run(advance_reference, ref, 10_000, 81 + i)
+            assert got == want, i
+            assert len(set(got[0])) > 100
+            assert np.array_equal(work, ref)
+        got, want = self.run_scored(BinaryMatrix(entries), 10_000, 84)
+        assert got == want
+
     def test_count_and_trace_when_one_state_exceeds_the_stack(self):
         mat = generate_null_matrix([100] * 200, [100] * 200, burn_in=500, seed=1)
         assert mat.entries.size > _STACK_BYTES
@@ -240,6 +255,21 @@ class TestStackedStatistic:
         serial_pvalue(mat, ChainConfig(length=50_000, statistic=self.recording(calls), seed=3))
         assert max(np.prod(shape) for shape in calls) <= _STACK_BYTES
         assert len(calls) > 2
+
+    def test_traced_peak_of_a_scored_chain_is_bounded(self):
+        # 1.14 MB with the 2-D memoryview loop and 1.22 MB with the row
+        # views; precomputed flat index lists r1 * c + c1 hold int objects
+        # above 256 and take it to about 1.9 MB
+        mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
+        observed = checkerboard_score(mat)
+        work = np.array(mat.entries)
+        tracemalloc.start()
+        try:
+            _advance(work, 10_000, np.random.default_rng(5), checkerboard_score, observed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
 
 class TestChainPins:
@@ -339,6 +369,15 @@ class TestStatistics:
             assert scores.tolist() == [checkerboard_score_int64(m) for m in stack]
             assert checkerboard_score(stack[3:4]).tolist() == [scores[3]]
         assert checkerboard_score(np.zeros((0, 3, 3), dtype=np.int8)).shape == (0,)
+
+    def test_checkerboard_score_of_wide_and_large_matrices(self):
+        rng = np.random.default_rng(47)
+        for r, c in ((2, 3), (3, 40), (5, 300), (20, 21)):
+            stack = rng.random((6, r, c)) < rng.random()
+            scores = checkerboard_score(stack.astype(np.int8))
+            assert scores.tolist() == [checkerboard_score_int64(m) for m in stack], (r, c)
+        entries = rng.random((300, 300)) < 0.4
+        assert checkerboard_score(entries) == checkerboard_score_int64(entries)
 
     def test_checkerboard_score_varies_across_class(self):
         scores = {round(checkerboard_score(m), 9) for m in enumerate_margin_class(*BLOCK_MARGINS)}
@@ -441,6 +480,17 @@ class TestSerialPvalue:
         serial_pvalue(mat, ChainConfig(length=20, statistic=statistic, seed=1))
         assert seen == {(np.ndarray, np.dtype(np.int8), (3, 3))}
 
+    def test_rejects_non_integral_length_and_seed(self):
+        for length in (2.5, 0, float("nan"), float("inf"), "5"):
+            with pytest.raises(ValueError, match="chain length"):
+                ChainConfig(length=length)
+        for seed in (1.9, 1.5, np.float64(0.5), float("nan")):
+            with pytest.raises(ValueError, match="seed"):
+                ChainConfig(length=5, seed=seed)
+        cfg = ChainConfig(length=np.int64(5), seed=np.int64(3))
+        assert (cfg.length, cfg.seed) == (5, 3) and type(cfg.length) is int
+        assert serial_pvalue(np.eye(2), cfg) == serial_pvalue(np.eye(2), ChainConfig(5, seed=3))
+
     def test_seed_is_checked_once_and_stored_as_int(self):
         cfg = ChainConfig(length=5, seed=np.uint64(2**64 - 1))
         assert type(cfg.seed) is int and cfg.seed == 2**64 - 1
@@ -497,6 +547,15 @@ class TestGenerateNullMatrix:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 generate_null_matrix([1, 1], [1, 1], burn_in=burn_in, seed=seed)
+
+    def test_rejects_non_integral_seed(self):
+        for seed in (1.5, np.float64(2.5), "3"):
+            with pytest.raises(ValueError, match="seed"):
+                generate_null_matrix([1, 1], [1, 1], burn_in=5, seed=seed)
+        want = generate_null_matrix([2, 1, 1], [1, 2, 1], burn_in=5, seed=7).entries
+        for seed in (7, np.int64(7), np.uint64(7), 7.0):
+            got = generate_null_matrix([2, 1, 1], [1, 2, 1], burn_in=5, seed=seed).entries
+            assert np.array_equal(got, want)
 
     def test_burned_in_draws_cover_class_uniformly(self):
         states = {state_key(m): i for i, m in enumerate(enumerate_margin_class(*PERM_MARGINS))}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orderpv import cli, generate_null_matrix
+from orderpv import cli, generate_null_matrix, subsample
 from orderpv.subsample import RANK_SUM_MAX_GROUPS
 from orderpv.validity import DEFAULT_ALPHA_GRID
 
@@ -298,6 +298,19 @@ class TestSubsample:
             capsys, "subsample", path, "--group-col", "day", "--n", "3", "--k", "2"
         )
         assert code == 2 and str(RANK_SUM_MAX_GROUPS) in err
+
+    def test_too_many_repetitions_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the limit is lowered so that no large sample is ever allocated,
+        # and no repetition runs
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        monkeypatch.setattr(subsample, "MAX_REPETITIONS", 10)
+        monkeypatch.setattr(cli, "rank_sum_test", never_called)
+        path = write_grouped(tmp_path / "g.csv", [("a", 0.1), ("b", 0.5), ("c", 0.7)])
+        code, out, err = run_cli(capsys, "subsample", path, "--group-col", "day", "--n", "11")
+        assert code == 2 and "MAX_REPETITIONS = 10" in err
+        assert "summary" not in out
 
     def test_non_finite_score_names_line(self, tmp_path, capsys):
         for bad in ("nan", "inf", "-inf"):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from orderpv import subsample
 from orderpv.correction import solve_combiner
-from orderpv.rngs import CHUNK
+from orderpv.rngs import CHUNK, stream
 from orderpv.subsample import (
+    MAX_REPETITIONS,
     RANK_SUM_MAX_GROUPS,
     GroupedDataset,
     _rank_sum_cdf,
@@ -149,6 +151,32 @@ class TestSubsamplePvalues:
             with pytest.raises(ValueError, match="seed"):
                 subsample_pvalues(data, constant_test(0.5), 5, seed=seed)
 
+    def test_rejects_non_integral_seed(self):
+        data = GroupedDataset([[1, 2], [3]])
+        for seed in (1.5, np.float64(0.5), "2"):
+            with pytest.raises(ValueError, match="seed"):
+                stream(seed, 0)
+            with pytest.raises(ValueError, match="seed"):
+                subsample_pvalues(data, constant_test(0.5), 5, seed=seed)
+        draws = stream(3, 1).random(4)
+        for seed in (np.int64(3), np.uint64(3), 3.0):
+            assert np.array_equal(stream(seed, 1).random(4), draws)
+
+    def test_repetition_count_is_bounded_before_allocating(self, monkeypatch):
+        # the limit is lowered, so that without the check the run would
+        # allocate a small sample and then call the base test, which fails
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        assert MAX_REPETITIONS == 2**27  # 1 GiB of float64
+        monkeypatch.setattr(subsample, "MAX_REPETITIONS", 10)
+        data = GroupedDataset([[1, 2], [3]])
+        with pytest.raises(ValueError, match="MAX_REPETITIONS = 10 "):
+            subsample_pvalues(data, never_called, 11, seed=0)
+        with pytest.raises(ValueError, match="MAX_REPETITIONS"):
+            run_pipeline(data, never_called, 11, seed=0)
+        assert subsample_pvalues(data, constant_test(0.5), 10, seed=0).shape == (10,)
+
     def test_bad_test_output_names_shape_or_repetition(self):
         data = GroupedDataset([[1, 2], [3]])
         with pytest.raises(ValueError, match=r"shape \(\)"):
@@ -293,6 +321,15 @@ class TestBcmcBaseTest:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             make_bcmc_test(chain_length=0)
+
+    def test_rejects_non_integral_length(self):
+        for length in (2.5, 0.5, float("nan"), "50"):
+            with pytest.raises(ValueError, match="chain length"):
+                make_bcmc_test(chain_length=length)
+        data = GroupedDataset([[[1, 0], [0, 1]], [[1, 0]], [[0, 1], [1, 1]]])
+        want = subsample_pvalues(data, make_bcmc_test(5), 6, seed=2)
+        got = subsample_pvalues(data, make_bcmc_test(np.int64(5)), 6, seed=2)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("chain_length", [1, 100])
     @pytest.mark.parametrize("groups", [

@@ -33,6 +33,19 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n=5, k=2, reps=10, seed=-1)
 
+    def test_rejects_non_integral_seed_and_reps(self):
+        # truncating seed 1.5 would run seed 1's streams and report 1.5
+        for seed in (1.5, np.float64(0.5), float("inf"), "1"):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(n=5, k=2, reps=10, seed=seed)
+        with pytest.raises(ValueError, match="reps"):
+            SimConfig(n=5, k=2, reps=2.5, seed=0)
+        for seed in (1, np.int64(1), np.uint64(1), 1.0):
+            cfg = SimConfig(n=5, k=2, reps=10, seed=seed)
+            assert type(cfg.seed) is int and cfg.seed == 1
+        cfg = SimConfig(n=5, k=2, reps=np.int64(10), seed=np.uint64(2**64 - 1))
+        assert (cfg.reps, cfg.seed) == (10, 2**64 - 1)
+
 
 class TestAdversarialKernel:
     def test_degenerate_weights(self):
