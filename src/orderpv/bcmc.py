@@ -22,10 +22,12 @@ from .rngs import check_seed
 
 _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 # Most bytes of chain states scored in one statistic call.  Larger stacks
-# are slower once their float64 copies leave the cache: on a 2-core x86
+# are slower once their float copies leave the cache: on a 2-core x86
 # host the ~1000 states of a 40x20 chain took 9-11 ms to score in one call
 # and 3.7-4.6 ms in stacks of 40 (2**15 bytes).
 _STACK_BYTES = 2**15
+# Below this many rows the checkerboard overlap counts are exact in float32.
+_FLOAT32_EXACT_ROWS = 2**24
 
 
 class BinaryMatrix:
@@ -189,21 +191,22 @@ def checkerboard_score(mats):
 
         c(c-1) * score = N**2 - 2 * sum_j' (sum_j O[j, j']) * s[j'] + sum_jj' O[j, j']**2,
 
-    since a pair j = j' adds nothing (O[j, j] = s[j]).  O is one float64
+    since a pair j = j' adds nothing (O[j, j] = s[j]).  O is one BLAS
     `np.matmul` of a C-contiguous copy of the transposed stack with the
     stack: numpy has no BLAS path for int64, and BLAS multiplies the
     transposed view more slowly than the copy.  For 0/1 entries it is
     exact, as every entry and partial sum is an integer count of at most
-    r < 2**53.  It is cast to int64 before the reductions, where each term
-    is at most 2 * (r * c)**2, so the numerator is exact for r * c < 2**31
-    and each score is the same float as with the all-int64 sum of the
-    products, whatever stack the matrix is in.
+    r: in float32 below 2**24 rows, which halves the temporaries, and in
+    float64 from there.  It is cast to int64 before the reductions, where
+    each term is at most 2 * (r * c)**2, so the numerator is exact for
+    r * c < 2**31 and each score is the same float as with the all-int64
+    sum of the products, whatever stack the matrix is in.
     """
     e = mats.entries if isinstance(mats, BinaryMatrix) else np.asarray(mats)
     c = e.shape[-1]
     if c < 2:
         raise ValueError("need at least 2 columns")
-    f = e.astype(np.float64)
+    f = e.astype(np.float32 if e.shape[-2] < _FLOAT32_EXACT_ROWS else np.float64)
     overlap = np.matmul(np.ascontiguousarray(f.swapaxes(-1, -2)), f).astype(np.int64)
     col = np.diagonal(overlap, axis1=-2, axis2=-1)
     ones = col.sum(axis=-1)

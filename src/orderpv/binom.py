@@ -26,9 +26,10 @@ def _check_n(n, name="n"):
 def _check_nk(n, k):
     """(n, k) as ints, with n >= 1 and k in 1..n."""
     n = _check_n(n)
-    if k != int(k) or not 1 <= k <= n:
+    value = integral(k)
+    if value is None or not 1 <= value <= n:
         raise ValueError(f"k must be an integer in [1, {n}], got {k!r}")
-    return n, int(k)
+    return n, value
 
 
 def _check_p(p, name="p"):

@@ -11,6 +11,10 @@ smaller.
 Kernels are callables ``kernel(rng, size) -> (size, n) array``.  Replications
 are processed in fixed-size blocks with one counter-derived stream per block
 (see `rngs`), so reports are bit-identical however the blocks are scheduled.
+A block holds one (size, n) draw matrix: `check_validity` selects the k-th
+smallest value by reordering each row of the kernel's array in place (a
+read-only array is copied first), and `SimConfig` refuses a plan whose block
+would hold more than `MAX_CHUNK_VALUES` draws.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +25,7 @@ import numpy as np
 
 from .binom import _check_n, _check_nk, _check_p
 from .correction import solve_combiner
-from .rngs import check_seed, iter_chunks, stream
+from .rngs import CHUNK, check_seed, iter_chunks, stream
 
 DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 
@@ -29,13 +33,18 @@ DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 # grid this keeps the false-alarm rate per report at the percent level.
 SIGMA_RULE = 3.0
 
+# Draws one block may hold: 2**27 float64 values are 1 GiB.  The block is
+# min(reps, CHUNK) rows of n values, so at full blocks n is at most 8192.
+MAX_CHUNK_VALUES = 2**27
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """Replication plan for a validity study.
 
-    `reps` and `seed` are checked and stored as ints; a non-integral one is
-    refused.
+    `n`, `k`, `reps` and `seed` are checked and stored as ints; a
+    non-integral one is refused.  A plan whose block of min(reps, CHUNK) rows of n draws holds
+    more than `MAX_CHUNK_VALUES` values is refused before anything is drawn.
     """
 
     n: int
@@ -45,9 +54,17 @@ class SimConfig:
     alpha_grid: np.ndarray = field(default_factory=lambda: DEFAULT_ALPHA_GRID.copy())
 
     def __post_init__(self):
-        _check_nk(self.n, self.k)
+        n, k = _check_nk(self.n, self.k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "reps", _check_n(self.reps, "reps"))
         object.__setattr__(self, "seed", check_seed(self.seed))
+        values = min(self.reps, CHUNK) * self.n
+        if values > MAX_CHUNK_VALUES:
+            raise ValueError(
+                f"a block of min(reps, {CHUNK}) x n = {values} draws exceeds "
+                f"MAX_CHUNK_VALUES = {MAX_CHUNK_VALUES}; lower n or reps"
+            )
         grid = _check_p(self.alpha_grid, "alpha_grid")
         if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("alpha_grid must be a non-empty, strictly increasing 1-d vector")
@@ -86,7 +103,8 @@ def adversarial_kernel(n, t):
     Each row draws a shared x uniform on [0,1]; each of its n values
     independently equals x*t with probability t, else is uniform on [t, 1].
     One uniform u per value does both: u < t picks the atom, and otherwise
-    u itself is uniform on [t, 1].
+    u itself is uniform on [t, 1].  The atom is written into the uniform
+    matrix, which is returned as the one (size, n) array of the block.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
@@ -94,7 +112,8 @@ def adversarial_kernel(n, t):
     def kernel(rng, size):
         x = rng.random(size)
         u = rng.random((size, n))
-        return np.where(u < t, (x * t)[:, None], u)
+        np.copyto(u, (x * t)[:, None], where=u < t)
+        return u
 
     return kernel
 
@@ -110,8 +129,11 @@ def uniform_kernel(n):
 
 def _tally_chunk(cfg, f, kernel, index, size):
     rng = stream(cfg.seed, index)
-    draws = kernel(rng, size)
-    u = np.partition(draws, cfg.k - 1, axis=1)[:, cfg.k - 1]
+    draws = np.require(kernel(rng, size), requirements="W")
+    if draws.shape != (size, cfg.n):
+        raise ValueError(f"kernel returned shape {draws.shape}, expected {(size, cfg.n)}")
+    draws.partition(cfg.k - 1, axis=1)
+    u = draws[:, cfg.k - 1]
     v = np.sort(np.asarray(f(u), dtype=float))
     # hits at alpha: the number of combined values <= alpha
     return np.searchsorted(v, cfg.alpha_grid, side="right")
@@ -126,7 +148,10 @@ def check_validity(cfg, f, kernel, threads=1):
     f : callable
         Increasing map [0,1] -> [0,1], vectorized over ndarrays.
     kernel : callable
-        ``kernel(rng, size) -> (size, n)`` of conditionally i.i.d. p-values.
+        ``kernel(rng, size) -> (size, n)`` of conditionally i.i.d. p-values;
+        another shape is a `ValueError`.  Each row of a writable result is
+        reordered in place to select its k-th smallest value, so a kernel
+        returns a new array per call; a read-only one is copied instead.
     threads : int
         Worker threads over replication blocks, at least 1; any count yields
         the same report because block streams are fixed and the tallies are
@@ -179,11 +204,11 @@ def tightness_scan(n, k, shrink, reps, seed, alpha_grid=None, threads=1):
     """
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-    spec = solve_combiner(n, k)
     cfg = SimConfig(
         n=n, k=k, reps=reps, seed=seed,
         alpha_grid=DEFAULT_ALPHA_GRID.copy() if alpha_grid is None else alpha_grid,
     )
+    spec = solve_combiner(n, k)
     return check_validity(
         cfg, lambda u: shrink * spec.apply(u), adversarial_kernel(n, spec.knee),
         threads=threads,

@@ -93,6 +93,21 @@ def worst_case_orderstat_cdf(n, k, t, q):
     return on_atom + scattered
 
 
+def adversarial_kernel_where(n, t):
+    """The worst-case kernel as an `np.where` copy of its uniform matrix.
+
+    This was the production kernel before `adversarial_kernel` wrote the
+    atom into its own draws; the two must agree bit for bit.
+    """
+
+    def kernel(rng, size):
+        x = rng.random(size)
+        u = rng.random((size, n))
+        return np.where(u < t, (x * t)[:, None], u)
+
+    return kernel
+
+
 def central_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orderpv import GroupedDataset, make_bcmc_test, subsample_pvalues
+from orderpv import GroupedDataset, bcmc, make_bcmc_test, subsample_pvalues
 from orderpv.bcmc import (
     _STACK_BYTES,
     BinaryMatrix,
@@ -378,6 +378,24 @@ class TestStatistics:
             assert scores.tolist() == [checkerboard_score_int64(m) for m in stack], (r, c)
         entries = rng.random((300, 300)) < 0.4
         assert checkerboard_score(entries) == checkerboard_score_int64(entries)
+
+    def test_checkerboard_score_float32_product_on_many_rows(self):
+        # overlaps far beyond float16 and bfloat16 precision stay exact in float32
+        rng = np.random.default_rng(59)
+        for r, density in ((70_000, 0.97), (100_003, 0.5), (2**17, 1.0)):
+            entries = rng.random((r, 3)) < density
+            assert checkerboard_score(entries) == checkerboard_score_int64(entries), r
+        stack = rng.random((4, 5000, 6)) < 0.9
+        assert checkerboard_score(stack).tolist() == [checkerboard_score_int64(m) for m in stack]
+
+    def test_checkerboard_score_float64_product_above_the_float32_limit(self, monkeypatch):
+        # from _FLOAT32_EXACT_ROWS rows on, the product runs in float64 to the same floats
+        rng = np.random.default_rng(61)
+        stack = rng.random((30, 9, 7)) < 0.6
+        expected = [checkerboard_score_int64(m) for m in stack]
+        for limit in (2, 9, 10):
+            monkeypatch.setattr(bcmc, "_FLOAT32_EXACT_ROWS", limit)
+            assert checkerboard_score(stack.astype(np.int8)).tolist() == expected, limit
 
     def test_checkerboard_score_varies_across_class(self):
         scores = {round(checkerboard_score(m), 9) for m in enumerate_margin_class(*BLOCK_MARGINS)}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orderpv import cli, generate_null_matrix, subsample
+from orderpv import cli, generate_null_matrix, subsample, validity
 from orderpv.subsample import RANK_SUM_MAX_GROUPS
 from orderpv.validity import DEFAULT_ALPHA_GRID
 
@@ -223,6 +223,16 @@ class TestValidate:
         assert lines[:6] == metadata
         assert lines[6] == "alpha,empirical_cdf,std_err,verdict"
         assert len(lines) == 7 + DEFAULT_ALPHA_GRID.size
+
+    def test_block_above_memory_bound_exit_two(self, capsys, monkeypatch):
+        def no_kernel(n, t):
+            raise AssertionError("a kernel was built for a refused plan")
+
+        monkeypatch.setattr(validity, "adversarial_kernel", no_kernel)
+        for n, reps in (("100000", "100000"), ("8193", "16384"), ("134217728", "2")):
+            code, out, err = run_cli(capsys, "validate", "--n", n, "--k", "5", "--reps", reps)
+            assert code == 2 and out == ""
+            assert "MAX_CHUNK_VALUES" in err and "134217728" in err
 
     def test_bad_shrink_exit_two(self, capsys):
         code, _, _ = run_cli(

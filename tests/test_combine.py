@@ -93,3 +93,14 @@ class TestCombine:
             combine_pvalues([[0.2, 0.4]], k=1)
         with pytest.raises(ValueError):
             combine_pvalues([0.2, 0.4], k=5)
+
+    @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan"), 1.5, "2", 2j])
+    def test_rejects_non_integral_k_naming_k(self, k):
+        # int(inf) would raise OverflowError and int(nan) a ValueError that names no argument
+        with pytest.raises(ValueError, match=r"k must be an integer in \[1, 3\]"):
+            combine_pvalues([0.1, 0.2, 0.3], k=k)
+
+    def test_accepts_integral_k_of_any_type(self):
+        for k in (2, 2.0, np.int64(2), np.float64(2.0)):
+            res = combine_pvalues([0.1, 0.2, 0.3], k=k)
+            assert type(res.k) is int and res.k == 2

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -8,6 +11,7 @@ from orderpv.correction import solve_combiner
 from orderpv.rngs import CHUNK
 from orderpv.validity import (
     DEFAULT_ALPHA_GRID,
+    MAX_CHUNK_VALUES,
     SimConfig,
     adversarial_kernel,
     check_validity,
@@ -15,7 +19,7 @@ from orderpv.validity import (
     uniform_kernel,
 )
 
-from oracles import worst_case_orderstat_cdf
+from oracles import adversarial_kernel_where, worst_case_orderstat_cdf
 
 
 class TestSimConfig:
@@ -46,6 +50,29 @@ class TestSimConfig:
         cfg = SimConfig(n=5, k=2, reps=np.int64(10), seed=np.uint64(2**64 - 1))
         assert (cfg.reps, cfg.seed) == (10, 2**64 - 1)
 
+    @pytest.mark.parametrize("k", [float("inf"), float("nan"), 2.5, 0, 6])
+    def test_rejects_bad_k_naming_k(self, k):
+        with pytest.raises(ValueError, match=r"k must be an integer in \[1, 5\]"):
+            SimConfig(n=5, k=k, reps=10, seed=0)
+
+    def test_stores_integral_n_and_k_as_ints(self):
+        cfg = SimConfig(n=10.0, k=np.float64(5.0), reps=100, seed=1)
+        assert (type(cfg.n), type(cfg.k)) == (int, int) and (cfg.n, cfg.k) == (10, 5)
+        as_ints = SimConfig(n=10, k=5, reps=100, seed=1)
+        report = check_validity(cfg, lambda u: u, uniform_kernel(10))
+        expected = check_validity(as_ints, lambda u: u, uniform_kernel(10))
+        assert np.array_equal(report.empirical_cdf, expected.empirical_cdf)
+
+    def test_bounds_the_draws_of_one_block(self):
+        # a block holds min(reps, CHUNK) rows of n draws; only configs are built here
+        widest = MAX_CHUNK_VALUES // CHUNK
+        assert SimConfig(n=widest, k=1, reps=10**12, seed=0).n == widest
+        assert SimConfig(n=MAX_CHUNK_VALUES, k=1, reps=1, seed=0).reps == 1
+        for n, reps in ((widest + 1, CHUNK), (widest + 1, 10**12), (MAX_CHUNK_VALUES, 2),
+                        (10**5, 10**5)):
+            with pytest.raises(ValueError, match="MAX_CHUNK_VALUES"):
+                SimConfig(n=n, k=1, reps=reps, seed=0)
+
 
 class TestAdversarialKernel:
     def test_degenerate_weights(self):
@@ -69,6 +96,20 @@ class TestAdversarialKernel:
         emp = (first <= alpha).mean()
         se = np.sqrt(alpha * (1 - alpha) / first.size)
         assert abs(emp - alpha) <= 3 * se
+
+    @pytest.mark.parametrize("n,t,seed", [(1, 0.5, 0), (10, None, 1), (10, 0.0, 2), (10, 1.0, 3),
+                                          (37, 0.3, 4), (100, None, 5)])
+    def test_equals_where_oracle_bit_for_bit(self, n, t, seed):
+        # the atom written into the draws: same values, same stream consumed
+        if t is None:
+            t = solve_combiner(n, n // 2).knee
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (1, 1000, CHUNK + 3):
+            out = adversarial_kernel(n, t)(rng, size)
+            ref = adversarial_kernel_where(n, t)(ref_rng, size)
+            assert out.shape == ref.shape == (size, n) and out.dtype == ref.dtype
+            assert out.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
@@ -231,6 +272,60 @@ class TestCheckValidity:
         cfg = SimConfig(n=4, k=2, reps=100, seed=0)
         with pytest.raises(ValueError, match="threads"):
             check_validity(cfg, lambda u: u, uniform_kernel(4), threads=threads)
+
+    def test_one_draw_matrix_per_block(self):
+        # the kernel's matrix is the block's only (CHUNK, n) array: the atom
+        # is written into it and the k-th value is selected in place
+        n, k = 100, 50
+        spec = solve_combiner(n, k)
+        cfg = SimConfig(n=n, k=k, reps=2 * CHUNK, seed=8)
+        kern = adversarial_kernel(n, spec.knee)
+        tracemalloc.start()
+        try:
+            one = check_validity(cfg, spec.apply, kern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * CHUNK * n * 8, peak / (CHUNK * n * 8)
+        two = check_validity(cfg, spec.apply, kern, threads=2)
+        assert np.array_equal(one.empirical_cdf, two.empirical_cdf)
+
+    @pytest.mark.parametrize("shape", [lambda size: (size, 3), lambda size: (size, 5),
+                                       lambda size: (size,), lambda size: (size - 1, 4),
+                                       lambda size: (4, size)],
+                             ids=["narrow", "wide", "flat", "short", "transposed"])
+    def test_rejects_kernel_of_wrong_shape(self, shape):
+        cfg = SimConfig(n=4, k=2, reps=100, seed=0)
+
+        def kernel(rng, size):
+            return rng.random(shape(size))
+
+        expected = f"kernel returned shape {re.escape(str(shape(100)))}, expected \\(100, 4\\)"
+        with pytest.raises(ValueError, match=expected):
+            check_validity(cfg, lambda u: u, kernel)
+
+    def test_read_only_kernel_result_is_copied(self):
+        # a read-only matrix gives the writable one's report and is left as drawn
+        n, k = 10, 5
+        spec = solve_combiner(n, k)
+        cfg = SimConfig(n=n, k=k, reps=CHUNK + 500, seed=4)
+        kern = adversarial_kernel(n, spec.knee)
+        returned = []
+
+        def read_only(rng, size):
+            draws = kern(rng, size)
+            draws.setflags(write=False)
+            returned.append((draws, draws.copy()))
+            return draws
+
+        expected = check_validity(cfg, spec.apply, kern)
+        report = check_validity(cfg, spec.apply, read_only)
+        assert np.array_equal(report.empirical_cdf, expected.empirical_cdf)
+        assert report.verdict == expected.verdict
+        assert len(returned) == 2
+        for draws, drawn in returned:
+            assert not draws.flags.writeable
+            assert np.array_equal(draws, drawn)
 
 
 def orderstat_zscore(n, k, q, reps, seed):
