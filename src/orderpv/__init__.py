@@ -20,7 +20,6 @@ from .subsample import (
     GroupedDataset,
     PipelineResult,
     make_bcmc_test,
-    pick_one_per_group,
     rank_sum_test,
     run_pipeline,
     subsample_pvalues,
@@ -56,7 +55,6 @@ __all__ = [
     "generate_null_matrix",
     "make_bcmc_test",
     "order_statistic",
-    "pick_one_per_group",
     "rank_sum_test",
     "run_pipeline",
     "serial_pvalue",

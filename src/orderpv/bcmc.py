@@ -28,6 +28,9 @@ _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 _STACK_BYTES = 2**15
 # Below this many rows the checkerboard overlap counts are exact in float32.
 _FLOAT32_EXACT_ROWS = 2**24
+# Longest chain whose trace `serial_pvalue` returns.  The trace is built from
+# Python lists, about 27 bytes a step, so this is about 0.45 GB.
+MAX_TRACE_LENGTH = 2**24
 
 
 class BinaryMatrix:
@@ -269,8 +272,12 @@ def serial_pvalue(mat, cfg, return_trace=False):
     multiple of 1/N in (0, 1]; the observed position always counts.
 
     With ``return_trace=True`` also returns the statistic values in chain
-    order 1..N.
+    order 1..N; a chain longer than `MAX_TRACE_LENGTH` is then refused
+    before any step runs.
     """
+    if return_trace and cfg.length > MAX_TRACE_LENGTH:
+        raise ValueError(f"a trace of {cfg.length} steps exceeds MAX_TRACE_LENGTH = "
+                         f"{MAX_TRACE_LENGTH}; lower the chain length or drop the trace")
     entries = _as_binary(mat)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     return _serial_pvalue_rng(entries, cfg.length, cfg.statistic, rng, return_trace)

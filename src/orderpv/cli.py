@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 a requested check did not come out as expected,
 2 usage or data error, 3 internal numeric failure.  Every stochastic
 command echoes its seed; re-running with the same seed reproduces the
-output byte for byte, and `validate` gives the same bytes whatever its
---threads says.
+output byte for byte.
 """
 
 import argparse
@@ -225,7 +224,7 @@ def _cmd_combine(args):
 
 def _cmd_validate(args):
     seed = _resolve_seed(args.seed)
-    report = tightness_scan(args.n, args.k, args.shrink, args.reps, seed, threads=args.threads)
+    report = tightness_scan(args.n, args.k, args.shrink, args.reps, seed)
     metadata = {
         "command": "validate",
         "n": args.n,
@@ -343,8 +342,6 @@ def build_parser():
     p.add_argument("--shrink", type=float, default=1.0,
                    help="scale the correction by this factor; < 1 expects violations")
     p.add_argument("--out", metavar="FILE", help="write the report CSV here instead of stdout")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (>= 1); never changes the result")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
 

@@ -2,14 +2,15 @@
 
 Every simulation in this package derives its randomness from a 64-bit master
 seed through `numpy.random.SeedSequence` spawn keys.  Work unit ``i`` always
-receives the stream keyed ``(seed, i)``, so results are identical whether the
-units run serially, threaded, or in any order.
+receives the stream keyed ``(seed, i)``, so results do not depend on the
+order the units run in, and any unit can be recomputed alone.  `blocks` is
+the one place that lays replications out in units of `CHUNK`.
 """
 
 import numpy as np
 
 # Replications are processed in fixed-size blocks; block b always consumes
-# stream b.  Changing this constant changes simulation output.
+# stream b (see `blocks`).  Changing this constant changes simulation output.
 CHUNK = 1 << 14
 
 
@@ -44,12 +45,11 @@ def stream(seed, index):
     return np.random.default_rng(ss)
 
 
-def iter_chunks(total, size=CHUNK):
-    """Yield (index, length) blocks covering `total` replications."""
-    index = 0
-    done = 0
-    while done < total:
-        length = min(size, total - done)
-        yield index, length
-        index += 1
-        done += length
+def blocks(seed, total):
+    """Yield (start, length, rng) for the blocks covering `total` replications.
+
+    Block b covers replications start = b * CHUNK up to start + length, with
+    length = min(CHUNK, total - start), and draws from ``stream(seed, b)``.
+    """
+    for index, start in enumerate(range(0, total, CHUNK)):
+        yield start, min(CHUNK, total - start), stream(seed, index)

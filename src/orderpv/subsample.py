@@ -6,13 +6,13 @@ assumption for the base test.  Repeating the draw n times with fresh
 randomness yields n conditionally i.i.d. p-values, which `combine_pvalues`
 collapses into a single valid summary.
 
-Repetitions run in blocks of `rngs.CHUNK`.  Block b draws all its picks, and
-the base test draws whatever randomness it needs, from the counter-derived
-stream keyed (seed, b), so results are reproducible and any block can be
-recomputed alone.  Base tests are callables ``test(picks, rng) -> (b,)``:
-`picks` holds one row per repetition with one observation per group, shape
-``(b, m, ...)``, and the result is one p-value in [0, 1] per row.
-Deterministic tests simply ignore `rng`.
+Repetitions run in the blocks of `rngs.blocks`, at most `rngs.CHUNK` each.
+Block b draws all its picks, and the base test draws whatever randomness it
+needs, from the counter-derived stream keyed (seed, b), so results are
+reproducible and any block can be recomputed alone.  Base tests are callables
+``test(picks, rng) -> (b,)``: `picks` holds one row per repetition with one
+observation per group, shape ``(b, m, ...)``, and the result is one p-value
+in [0, 1] per row.  Deterministic tests simply ignore `rng`.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ import numpy as np
 from .bcmc import _as_binary, _serial_pvalue_rng, checkerboard_score
 from .binom import _check_n
 from .combine import CombineResult, combine_pvalues
-from .rngs import CHUNK, iter_chunks, stream
+from .rngs import CHUNK, blocks
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,9 @@ def subsample_pvalues(data, test, n, seed):
     """n independent repetitions of pick-then-test; conditionally i.i.d. given data.
 
     The test is called once per block of at most `rngs.CHUNK` repetitions.
-    More than `MAX_REPETITIONS` repetitions raise ValueError before the
-    sample is allocated.
+    More than `MAX_REPETITIONS` repetitions, or a block whose min(n, CHUNK)
+    rows of m int64 indices and m picks take more than `MAX_BLOCK_BYTES`,
+    raise ValueError before the sample is allocated.
     A block whose test raises, or returns anything but one value in [0, 1]
     per repetition, aborts the whole run: silently dropping repetitions
     would bias the conditional i.i.d. structure.
@@ -113,9 +114,13 @@ def subsample_pvalues(data, test, n, seed):
     if n > MAX_REPETITIONS:
         raise ValueError(f"at most MAX_REPETITIONS = {MAX_REPETITIONS} repetitions are "
                          f"supported, got {n}")
+    row = data.m * (8 + data._stacked[:1].nbytes)
+    if min(n, CHUNK) * row > MAX_BLOCK_BYTES:
+        raise ValueError(f"a block of min(n, {CHUNK}) repetitions x {row} bytes of indices and "
+                         f"picks exceeds MAX_BLOCK_BYTES = {MAX_BLOCK_BYTES}; lower n or the "
+                         f"group count")
     out = np.empty(n)
-    for index, length in iter_chunks(n):
-        rng = stream(seed, index)
+    for start, length, rng in blocks(seed, n):
         p = np.asarray(test(pick_one_per_group(data, rng, length), rng), dtype=float)
         if p.shape != (length,):
             raise ValueError(f"base test returned shape {p.shape} for {length} repetitions, "
@@ -124,8 +129,8 @@ def subsample_pvalues(data, test, n, seed):
         if bad.size:
             j = bad[0]
             raise ValueError(f"base test returned {float(p[j])!r} on repetition "
-                             f"{index * CHUNK + j}, not in [0, 1]")
-        out[index * CHUNK:index * CHUNK + length] = p
+                             f"{start + j}, not in [0, 1]")
+        out[start:start + length] = p
     return out
 
 
@@ -147,9 +152,11 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
 
     The histogram covers [0, 1] in `bins` equal cells and stands in for a
     figure; quartiles and the maximum summarize the subsample distribution.
+    More than `MAX_BINS` bins are refused before anything is drawn.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    bins = _check_n(bins, "bins")
+    if bins > MAX_BINS:
+        raise ValueError(f"at most MAX_BINS = {MAX_BINS} histogram bins are supported, got {bins}")
     sample = subsample_pvalues(data, test, n, seed)
     combined = combine_pvalues(sample, k)
     q1, q2, q3 = np.quantile(sample, [0.25, 0.5, 0.75])
@@ -168,6 +175,14 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
 # Most repetitions one subsample run accepts: its float64 sample is 1 GiB.
 # The count is checked before the sample is allocated.
 MAX_REPETITIONS = 2**27
+
+# Most bytes of one block's int64 pick indices and picks, min(n, CHUNK) rows
+# of m groups each, checked before anything is drawn.
+MAX_BLOCK_BYTES = 2**30
+
+# Most histogram bins `run_pipeline` accepts; numpy builds bins + 1 float64
+# edges, 8 MB here.
+MAX_BINS = 2**20
 
 # Largest group count the exact rank-sum test accepts.  Its cached CDF table
 # holds (m/2 + 1) * (m(m+1)/2 + 1) float64 entries: 16 MB and about 0.2 s to

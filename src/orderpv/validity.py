@@ -9,23 +9,22 @@ bound, so it both certifies the exact correction and convicts anything
 smaller.
 
 Kernels are callables ``kernel(rng, size) -> (size, n) array``.  Replications
-are processed in fixed-size blocks with one counter-derived stream per block
-(see `rngs`), so reports are bit-identical however the blocks are scheduled.
-A block holds one (size, n) draw matrix: `check_validity` selects the k-th
-smallest value by reordering each row of the kernel's array in place (a
-read-only array is copied first), and `SimConfig` refuses a plan whose block
-would hold more than `MAX_CHUNK_VALUES` draws.
+run serially in the fixed-size blocks of `rngs.blocks`, each on its own
+counter-derived stream, and the per-block tallies are summed, so a report
+depends only on the plan.  A block holds one (size, n) draw matrix:
+`check_validity` selects the k-th smallest value by reordering each row of
+the kernel's array in place (a read-only array is copied first), and
+`SimConfig` refuses a plan whose block would hold more than
+`MAX_CHUNK_VALUES` draws.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .binom import _check_n, _check_nk, _check_p
 from .correction import solve_combiner
-from .rngs import CHUNK, check_seed, iter_chunks, stream
+from .rngs import CHUNK, blocks, check_seed
 
 DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 
@@ -127,8 +126,7 @@ def uniform_kernel(n):
     return kernel
 
 
-def _tally_chunk(cfg, f, kernel, index, size):
-    rng = stream(cfg.seed, index)
+def _tally_chunk(cfg, f, kernel, rng, size):
     draws = np.require(kernel(rng, size), requirements="W")
     if draws.shape != (size, cfg.n):
         raise ValueError(f"kernel returned shape {draws.shape}, expected {(size, cfg.n)}")
@@ -139,7 +137,7 @@ def _tally_chunk(cfg, f, kernel, index, size):
     return np.searchsorted(v, cfg.alpha_grid, side="right")
 
 
-def check_validity(cfg, f, kernel, threads=1):
+def check_validity(cfg, f, kernel):
     """Estimate P(f(k-th smallest) <= alpha) on the alpha grid.
 
     Parameters
@@ -152,31 +150,15 @@ def check_validity(cfg, f, kernel, threads=1):
         another shape is a `ValueError`.  Each row of a writable result is
         reordered in place to select its k-th smallest value, so a kernel
         returns a new array per call; a read-only one is copied instead.
-    threads : int
-        Worker threads over replication blocks, at least 1; any count yields
-        the same report because block streams are fixed and the tallies are
-        summed.  Blocks are handed out `threads` at a time, so at most that
-        many are in flight whatever `cfg.reps` is.
+        It is called once per block of `rngs.blocks`, one block at a time.
 
     Returns
     -------
     SimReport
         Violation is declared where empirical_cdf > alpha + 3 * std_err.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-    def tally(chunk):
-        return _tally_chunk(cfg, f, kernel, *chunk)
-
-    chunks = iter_chunks(cfg.reps)
-    if threads > 1:
-        counts = 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while batch := list(islice(chunks, threads)):
-                counts += sum(pool.map(tally, batch))
-    else:
-        counts = sum(map(tally, chunks))
+    counts = sum(_tally_chunk(cfg, f, kernel, rng, length)
+                 for _, length, rng in blocks(cfg.seed, cfg.reps))
 
     emp = counts / cfg.reps
     se = np.sqrt(emp * (1.0 - emp) / cfg.reps)
@@ -194,7 +176,7 @@ def check_validity(cfg, f, kernel, threads=1):
     )
 
 
-def tightness_scan(n, k, shrink, reps, seed, alpha_grid=None, threads=1):
+def tightness_scan(n, k, shrink, reps, seed, alpha_grid=None):
     """Probe whether a shrunken correction still looks valid.
 
     Runs `check_validity` with ``shrink * corrected`` against the worst-case
@@ -209,7 +191,4 @@ def tightness_scan(n, k, shrink, reps, seed, alpha_grid=None, threads=1):
         alpha_grid=DEFAULT_ALPHA_GRID.copy() if alpha_grid is None else alpha_grid,
     )
     spec = solve_combiner(n, k)
-    return check_validity(
-        cfg, lambda u: shrink * spec.apply(u), adversarial_kernel(n, spec.knee),
-        threads=threads,
-    )
+    return check_validity(cfg, lambda u: shrink * spec.apply(u), adversarial_kernel(n, spec.knee))

@@ -498,6 +498,21 @@ class TestSerialPvalue:
         serial_pvalue(mat, ChainConfig(length=20, statistic=statistic, seed=1))
         assert seen == {(np.ndarray, np.dtype(np.int8), (3, 3))}
 
+    def test_trace_length_is_bounded_before_any_step(self, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("a chain step ran")
+
+        assert bcmc.MAX_TRACE_LENGTH == 2**24
+        monkeypatch.setattr(bcmc, "MAX_TRACE_LENGTH", 10)
+        monkeypatch.setattr(bcmc, "_advance", no_steps)
+        mat = [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="MAX_TRACE_LENGTH = 10;"):
+            serial_pvalue(mat, ChainConfig(length=11, seed=0), return_trace=True)
+        # at the limit, or without the trace, the chain starts
+        for length, return_trace in ((10, True), (11, False)):
+            with pytest.raises(AssertionError, match="a chain step ran"):
+                serial_pvalue(mat, ChainConfig(length=length, seed=0), return_trace)
+
     def test_rejects_non_integral_length_and_seed(self):
         for length in (2.5, 0, float("nan"), float("inf"), "5"):
             with pytest.raises(ValueError, match="chain length"):

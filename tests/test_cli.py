@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orderpv import cli, generate_null_matrix, subsample, validity
+from orderpv import bcmc, cli, generate_null_matrix, subsample, validity
 from orderpv.subsample import RANK_SUM_MAX_GROUPS
 from orderpv.validity import DEFAULT_ALPHA_GRID
 
@@ -176,12 +176,6 @@ class TestValidate:
         )
         assert code == 1
 
-    def test_threads_do_not_change_output(self, capsys):
-        args = ["validate", "--n", "6", "--k", "3", "--reps", "40000", "--seed", "11"]
-        _, out1, _ = run_cli(capsys, *args, "--threads", "1")
-        _, out4, _ = run_cli(capsys, *args, "--threads", "4")
-        assert out1 == out4
-
     def test_out_file_byte_identical_across_runs(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"
         args = [
@@ -200,18 +194,12 @@ class TestValidate:
         assert code == 0
         assert "# seed = 314" in out
 
-    def test_thread_count_below_one_exit_two(self, capsys):
-        for threads in ("0", "-2"):
-            code, _, err = run_cli(
-                capsys, "validate", "--n", "4", "--k", "2", "--reps", "100",
-                "--threads", threads,
-            )
-            assert code == 2 and "threads" in err
-        code, _, err = run_cli(
-            capsys, "validate", "--n", "4", "--k", "2", "--reps", "100",
-            "--shrink", "0.5", "--threads", "0",
+    def test_threads_option_is_gone(self, capsys):
+        code, out, err = run_cli_usage_error(
+            capsys, "validate", "--n", "4", "--k", "2", "--reps", "100", "--threads", "2",
         )
-        assert code == 2 and "threads" in err
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --threads 2" in err
 
     def test_report_csv_layout(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--n", "2", "--k", "1", "--reps", "1000",
@@ -321,6 +309,29 @@ class TestSubsample:
         code, out, err = run_cli(capsys, "subsample", path, "--group-col", "day", "--n", "11")
         assert code == 2 and "MAX_REPETITIONS = 10" in err
         assert "summary" not in out
+
+    def test_block_above_memory_bound_exit_two(self, tmp_path, capsys, monkeypatch):
+        # three groups of one float64 score: 3 x (8 + 8) bytes a repetition
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        monkeypatch.setattr(subsample, "MAX_BLOCK_BYTES", 48 * 10)
+        monkeypatch.setattr(cli, "rank_sum_test", never_called)
+        path = write_grouped(tmp_path / "g.csv", [("a", 0.1), ("b", 0.5), ("c", 0.7)])
+        code, out, err = run_cli(capsys, "subsample", path, "--group-col", "day", "--n", "11")
+        assert code == 2 and out == ""
+        assert "MAX_BLOCK_BYTES = 480" in err
+
+    def test_too_many_bins_exit_two(self, tmp_path, capsys, monkeypatch):
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        monkeypatch.setattr(cli, "rank_sum_test", never_called)
+        path = write_grouped(tmp_path / "g.csv", [("a", 0.1), ("b", 0.5), ("c", 0.7)])
+        for bins in (str(subsample.MAX_BINS + 1), "0", "-1"):
+            code, out, err = run_cli(capsys, "subsample", path, "--group-col", "day", "--n", "5",
+                                     "--bins", bins)
+            assert code == 2 and out == "" and "bins" in err
 
     def test_non_finite_score_names_line(self, tmp_path, capsys):
         for bad in ("nan", "inf", "-inf"):
@@ -494,6 +505,20 @@ class TestBcmc:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "t,statistic"
         assert len(lines) == 51
+
+    def test_trace_above_bound_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("a chain step ran")
+
+        monkeypatch.setattr(bcmc, "MAX_TRACE_LENGTH", 10)
+        monkeypatch.setattr(bcmc, "_advance", no_steps)
+        path = tmp_path / "m.csv"
+        path.write_text("1,0\n0,1\n")
+        trace = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "bcmc", str(path), "--chain-length", "11",
+                                 "--trace-out", str(trace))
+        assert code == 2 and out == "" and "MAX_TRACE_LENGTH = 10" in err
+        assert not trace.exists()
 
     def test_non_binary_entry_exit_two(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

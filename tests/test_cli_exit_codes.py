@@ -1,12 +1,13 @@
-"""Exit codes of the CLI on generated, often malformed, CSV input.
+"""Exit codes of the CLI on generated, often malformed, input.
 
 Every run must end in exit 0 or exit 2 (usage or data error) with an
-``error:`` line on stderr; exit 3 (internal numeric failure) means some bad
-input slipped past the checks.  About half of the inputs are well formed, so
-the success path runs too.  A last property writes one table in many CSV
+``error:`` line on stderr; `validate` may also exit 1 (its check did not come
+out as expected).  Exit 3 (internal numeric failure) means some bad input
+slipped past the checks.  About half of the inputs are well formed, so the
+success path runs too.  A last property writes one table in many CSV
 layouts and requires the same output from each, and an error that names the
-file line of a planted bad cell.  Sizes stay small (--n and --chain-length at
-most 50) so that no example is slow.
+file line of a planted bad cell.  Sizes stay small (--n, --bins and
+--chain-length at most 50, --reps at most 2000) so that no example is slow.
 """
 
 import contextlib
@@ -30,23 +31,29 @@ sizes = st.integers(min_value=-1, max_value=50)
 chain_lengths = st.integers(min_value=0, max_value=50)
 
 
+def call(argv):
+    """Run the CLI on `argv`; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def run(argv, text, bom):
     """Run the CLI on `text` written to a file; returns (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(BOM + text if bom else text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main([argv[0], path, *argv[1:]])
-            except SystemExit as exc:  # argparse refused the arguments
-                code = exc.code
-    return code, out.getvalue(), err.getvalue().replace(path, "INPUT")
+        code, out, err = call([argv[0], path, *argv[1:]])
+    return code, out, err.replace(path, "INPUT")
 
 
-def check_exit(code, out, err):
-    assert code in (0, 2), (code, err)
+def check_exit(code, out, err, ok=(0,)):
+    assert code in (*ok, 2), (code, err)
     if code == 2:
         assert "error:" in err, err
 
@@ -94,11 +101,12 @@ def grouped_csv(draw, test):
     n=sizes,
     k=st.one_of(st.none(), sizes),
     chain_length=chain_lengths,
+    bins=sizes,
     bom=st.booleans(),
 )
-def test_subsample(data, test, n, k, chain_length, bom):
+def test_subsample(data, test, n, k, chain_length, bins, bom):
     argv = ["subsample", "--group-col", "g", "--test", test, "--n", str(n),
-            "--chain-length", str(chain_length), "--seed", "1"]
+            "--chain-length", str(chain_length), "--bins", str(bins), "--seed", "1"]
     if k is not None:
         argv += ["--k", str(k)]
     check_exit(*run(argv, data.draw(grouped_csv(test)), bom))
@@ -117,6 +125,20 @@ def test_bcmc(header, labels, width, data, chain_length, bom):
     body = data.draw(table(["0", "1"], width, label=(lambda i: f"r{i}") if labels else None))
     check_exit(*run(["bcmc", "--chain-length", str(chain_length), "--seed", "2"],
                     header + body, bom))
+
+
+@EXIT_SETTINGS
+@given(
+    data=st.data(),
+    n=sizes,
+    reps=st.integers(-1, 2000),
+    shrink=st.sampled_from(["nan", "inf", "-1", "0", "0.5", "1", "1.5"]),
+)
+def test_validate(data, n, reps, shrink):
+    k = data.draw(st.one_of(sizes, st.integers(1, max(n, 1))))  # often in 1..n
+    argv = ["validate", "--n", str(n), "--k", str(k), "--reps", str(reps),
+            "--shrink", shrink, "--seed", "4"]
+    check_exit(*call(argv), ok=(0, 1))
 
 
 # Per command: its arguments, a header, a row maker (index, draw) -> fields,

@@ -3,8 +3,10 @@ import pytest
 
 from orderpv import subsample
 from orderpv.correction import solve_combiner
-from orderpv.rngs import CHUNK, stream
+from orderpv.rngs import CHUNK, blocks, stream
 from orderpv.subsample import (
+    MAX_BINS,
+    MAX_BLOCK_BYTES,
     MAX_REPETITIONS,
     RANK_SUM_MAX_GROUPS,
     GroupedDataset,
@@ -176,6 +178,51 @@ class TestSubsamplePvalues:
         with pytest.raises(ValueError, match="MAX_REPETITIONS"):
             run_pipeline(data, never_called, 11, seed=0)
         assert subsample_pvalues(data, constant_test(0.5), 10, seed=0).shape == (10,)
+
+    def test_block_bytes_are_bounded_before_drawing(self, monkeypatch):
+        # the limit is lowered, so that without the check the run would draw
+        # a few small picks and then call the base test, which fails
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        assert MAX_BLOCK_BYTES == 2**30
+        scores = GroupedDataset([[1.5, 2.5], [3.5]])  # 2 x (8 + 8) bytes a repetition
+        rows = GroupedDataset([[[0, 1, 1]], [[1, 0, 0]]])  # 2 x (8 + 3 * 8) bytes
+        for data, row in ((scores, 32), (rows, 64)):
+            monkeypatch.setattr(subsample, "MAX_BLOCK_BYTES", 10 * row)
+            with pytest.raises(ValueError, match=f"MAX_BLOCK_BYTES = {10 * row};"):
+                subsample_pvalues(data, never_called, 11, seed=0)
+            with pytest.raises(ValueError, match="MAX_BLOCK_BYTES"):
+                run_pipeline(data, never_called, 11, seed=0)
+            assert subsample_pvalues(data, constant_test(0.5), 10, seed=0).shape == (10,)
+        # the block, not the run, is bounded: at most CHUNK repetitions
+        monkeypatch.setattr(subsample, "MAX_BLOCK_BYTES", CHUNK * 32)
+        sample = subsample_pvalues(scores, constant_test(0.5), 2 * CHUNK + 1, seed=0)
+        assert sample.size == 2 * CHUNK + 1
+
+    def test_bins_are_checked_before_drawing(self):
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        assert MAX_BINS == 2**20
+        data = GroupedDataset([[1, 2], [3]])
+        with pytest.raises(ValueError, match=f"MAX_BINS = {MAX_BINS} "):
+            run_pipeline(data, never_called, 10, seed=0, bins=MAX_BINS + 1)
+        for bins in (2.5, 0, -1, float("nan"), "20"):
+            with pytest.raises(ValueError, match="bins must be an integer >= 1"):
+                run_pipeline(data, never_called, 10, seed=0, bins=bins)
+        result = run_pipeline(data, constant_test(0.5), 10, seed=0, bins=MAX_BINS)
+        assert result.bin_counts.size == MAX_BINS and result.bin_counts.sum() == 10
+        assert run_pipeline(data, constant_test(0.5), 10, seed=0, bins=2.0).bin_counts.size == 2
+
+    def test_blocks_are_chunks_on_keyed_streams(self):
+        for total in (1, CHUNK, CHUNK + 1, 3 * CHUNK - 5):
+            layout = list(blocks(7, total))
+            starts = range(0, total, CHUNK)
+            assert [(start, length) for start, length, _ in layout] == [
+                (start, min(CHUNK, total - start)) for start in starts]
+            for b, (_, _, rng) in enumerate(layout):
+                assert np.array_equal(rng.random(3), stream(7, b).random(3))
 
     def test_bad_test_output_names_shape_or_repetition(self):
         data = GroupedDataset([[1, 2], [3]])

@@ -8,7 +8,7 @@ from scipy import special
 from orderpv import validity
 from orderpv.binom import binom_upper_tail
 from orderpv.correction import solve_combiner
-from orderpv.rngs import CHUNK
+from orderpv.rngs import CHUNK, blocks
 from orderpv.validity import (
     DEFAULT_ALPHA_GRID,
     MAX_CHUNK_VALUES,
@@ -204,12 +204,14 @@ class TestCheckValidity:
         spec = solve_combiner(6, 3)
         cfg = SimConfig(n=6, k=3, reps=33_000, seed=2024)
         kern = adversarial_kernel(6, spec.knee)
-        one = check_validity(cfg, spec.apply, kern, threads=1)
-        again = check_validity(cfg, spec.apply, kern, threads=1)
-        pooled = check_validity(cfg, spec.apply, kern, threads=4)
+        one = check_validity(cfg, spec.apply, kern)
+        again = check_validity(cfg, spec.apply, kern)
+        # the blocks tallied last to first give the same counts
+        backwards = sum(validity._tally_chunk(cfg, spec.apply, kern, rng, length)
+                        for _, length, rng in reversed(list(blocks(cfg.seed, cfg.reps))))
         assert np.array_equal(one.empirical_cdf, again.empirical_cdf)
-        assert np.array_equal(one.empirical_cdf, pooled.empirical_cdf)
-        assert one.verdict == pooled.verdict
+        assert np.array_equal(one.empirical_cdf, backwards / cfg.reps)
+        assert one.verdict == again.verdict
 
     # Hit counts on the default grid against the worst-case kernel at the
     # knee, recorded with the two-draw kernel (a separate uniform for the
@@ -245,33 +247,31 @@ class TestCheckValidity:
             report = check_validity(SimConfig(n=n, k=k, reps=reps, seed=seed), spec.apply, kern)
             assert np.array_equal(report.empirical_cdf, np.array(hits) / reps)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_pulls_at_most_threads_chunks_before_first_draw(self, threads, monkeypatch):
-        iter_chunks = validity.iter_chunks
+    def test_pulls_one_block_before_first_draw(self, monkeypatch):
         pulled = []
-        seen = []  # chunks pulled so far, at each kernel call
+        seen = []  # blocks pulled so far, at each kernel call
 
-        def counting_chunks(total):
-            for chunk in iter_chunks(total):
-                pulled.append(chunk)
-                yield chunk
+        def counting_blocks(seed, total):
+            for block in blocks(seed, total):
+                pulled.append(block)
+                yield block
 
         def kernel(rng, size):
             seen.append(len(pulled))
             return rng.random((size, 2))
 
-        monkeypatch.setattr(validity, "iter_chunks", counting_chunks)
-        report = check_validity(SimConfig(n=2, k=1, reps=5 * CHUNK, seed=3), lambda u: u, kernel,
-                                threads=threads)
+        monkeypatch.setattr(validity, "blocks", counting_blocks)
+        report = check_validity(SimConfig(n=2, k=1, reps=5 * CHUNK, seed=3), lambda u: u, kernel)
         assert len(pulled) == len(seen) == 5
-        assert seen[0] <= threads
+        assert seen == [1, 2, 3, 4, 5]
         assert report.reps == 5 * CHUNK
 
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_rejects_thread_count_below_one(self, threads):
+    def test_threads_argument_is_gone(self):
         cfg = SimConfig(n=4, k=2, reps=100, seed=0)
-        with pytest.raises(ValueError, match="threads"):
-            check_validity(cfg, lambda u: u, uniform_kernel(4), threads=threads)
+        with pytest.raises(TypeError, match="threads"):
+            check_validity(cfg, lambda u: u, uniform_kernel(4), threads=2)
+        with pytest.raises(TypeError, match="threads"):
+            tightness_scan(4, 2, 0.5, 100, 0, threads=2)
 
     def test_one_draw_matrix_per_block(self):
         # the kernel's matrix is the block's only (CHUNK, n) array: the atom
@@ -287,7 +287,7 @@ class TestCheckValidity:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * CHUNK * n * 8, peak / (CHUNK * n * 8)
-        two = check_validity(cfg, spec.apply, kern, threads=2)
+        two = check_validity(cfg, spec.apply, kern)
         assert np.array_equal(one.empirical_cdf, two.empirical_cdf)
 
     @pytest.mark.parametrize("shape", [lambda size: (size, 3), lambda size: (size, 5),
@@ -375,8 +375,3 @@ class TestTightnessScan:
             tightness_scan(4, 2, 0.0, 100, 0)
         with pytest.raises(ValueError):
             tightness_scan(4, 2, 1.1, 100, 0)
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_rejects_thread_count_below_one(self, threads):
-        with pytest.raises(ValueError, match="threads"):
-            tightness_scan(4, 2, 0.5, 100, 0, threads=threads)
