@@ -194,6 +194,16 @@ class TestValidate:
         assert code == 0
         assert "# seed = 314" in out
 
+    def test_thread_count_below_one_exit_two(self, capsys):
+        # --threads is gone, so argparse refuses any count
+        for threads in ("0", "-2"):
+            code, out, err = run_cli_usage_error(
+                capsys, "validate", "--n", "4", "--k", "2", "--reps", "100",
+                "--threads", threads,
+            )
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: --threads {threads}" in err
+
     def test_threads_option_is_gone(self, capsys):
         code, out, err = run_cli_usage_error(
             capsys, "validate", "--n", "4", "--k", "2", "--reps", "100", "--threads", "2",

@@ -247,7 +247,10 @@ class TestCheckValidity:
             report = check_validity(SimConfig(n=n, k=k, reps=reps, seed=seed), spec.apply, kern)
             assert np.array_equal(report.empirical_cdf, np.array(hits) / reps)
 
-    def test_pulls_one_block_before_first_draw(self, monkeypatch):
+    # the serial loop keeps one block in flight, so at most one is pulled
+    # before the kernel's first draw
+    @pytest.mark.parametrize("in_flight", [1])
+    def test_pulls_at_most_threads_chunks_before_first_draw(self, in_flight, monkeypatch):
         pulled = []
         seen = []  # blocks pulled so far, at each kernel call
 
@@ -263,15 +266,16 @@ class TestCheckValidity:
         monkeypatch.setattr(validity, "blocks", counting_blocks)
         report = check_validity(SimConfig(n=2, k=1, reps=5 * CHUNK, seed=3), lambda u: u, kernel)
         assert len(pulled) == len(seen) == 5
+        assert seen[0] <= in_flight
         assert seen == [1, 2, 3, 4, 5]
         assert report.reps == 5 * CHUNK
 
-    def test_threads_argument_is_gone(self):
+    # threads= is gone: any thread count is an unexpected keyword
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_thread_count_below_one(self, threads):
         cfg = SimConfig(n=4, k=2, reps=100, seed=0)
         with pytest.raises(TypeError, match="threads"):
-            check_validity(cfg, lambda u: u, uniform_kernel(4), threads=2)
-        with pytest.raises(TypeError, match="threads"):
-            tightness_scan(4, 2, 0.5, 100, 0, threads=2)
+            check_validity(cfg, lambda u: u, uniform_kernel(4), threads=threads)
 
     def test_one_draw_matrix_per_block(self):
         # the kernel's matrix is the block's only (CHUNK, n) array: the atom
@@ -375,3 +379,8 @@ class TestTightnessScan:
             tightness_scan(4, 2, 0.0, 100, 0)
         with pytest.raises(ValueError):
             tightness_scan(4, 2, 1.1, 100, 0)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(TypeError, match="threads"):
+            tightness_scan(4, 2, 0.5, 100, 0, threads=threads)
