@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binom import _check_n
-from .rngs import check_seed
+from .rngs import check_seed, stream
 
 _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 # Most bytes of chain states scored in one statistic call.  Larger stacks
@@ -279,8 +279,7 @@ def serial_pvalue(mat, cfg, return_trace=False):
         raise ValueError(f"a trace of {cfg.length} steps exceeds MAX_TRACE_LENGTH = "
                          f"{MAX_TRACE_LENGTH}; lower the chain length or drop the trace")
     entries = _as_binary(mat)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return _serial_pvalue_rng(entries, cfg.length, cfg.statistic, rng, return_trace)
+    return _serial_pvalue_rng(entries, cfg.length, cfg.statistic, stream(cfg.seed), return_trace)
 
 
 def _check_margins(row_sums, col_sums):
@@ -325,5 +324,5 @@ def generate_null_matrix(row_sums, col_sums, burn_in=10_000, seed=0):
         caps[targets] -= 1
 
     if burn_in > 0 and rows.size >= 2 and cols.size >= 2:
-        _advance(entries, burn_in, np.random.default_rng(np.random.SeedSequence(seed)))
+        _advance(entries, burn_in, stream(seed))
     return BinaryMatrix(entries)

@@ -1,5 +1,11 @@
 """Command-line front end: CSV in, plain-text/CSV reports out.
 
+Each command computes its results and writes its output files first, then
+prints one report through `_write_report`: '# key = value' metadata lines,
+'key = value' result lines at --precision significant digits, then an
+optional CSV table with floats written %.10g.  A command that fails leaves
+stdout empty.
+
 Exit codes: 0 success, 1 a requested check did not come out as expected,
 2 usage or data error, 3 internal numeric failure.  Every stochastic
 command echoes its seed; re-running with the same seed reproduces the
@@ -7,7 +13,6 @@ output byte for byte.
 """
 
 import argparse
-import contextlib
 import csv
 import os
 import sys
@@ -27,10 +32,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "ORDERPV_SEED"
-
-
-def _fmt(value, precision):
-    return format(float(value), f".{precision}g")
 
 
 def _resolve_seed(arg_seed):
@@ -121,11 +122,8 @@ def read_pvalues(path):
     for lineno, (text, *rest) in rows:
         if any(rest):
             raise ValueError(f"{path}: line {lineno}: expected one p-value, got {1 + len(rest)} fields")
-        try:
-            value = float(text)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: cannot parse {text!r} as a p-value") from None
-        if np.isnan(value) or not 0.0 <= value <= 1.0:
+        value = _to_float(path, lineno, text)
+        if not 0.0 <= value <= 1.0:
             raise ValueError(f"{path}: line {lineno}: value {text} outside [0, 1]")
         values.append(value)
     if not values:
@@ -177,118 +175,111 @@ def read_binary_matrix(path):
     return np.asarray(data)
 
 
-def _write_table(path, header, rows, metadata=None):
-    """Write a CSV table to the file `path`, or to stdout when there is none.
+def _show(value, precision):
+    """A result value as reported: floats at `precision`, tuples space-joined, the rest `str`."""
+    if isinstance(value, tuple):
+        return " ".join(_show(v, precision) for v in value)
+    return format(value, f".{precision}g") if isinstance(value, float) else str(value)
 
-    `metadata` becomes leading '# key = value' lines; floats are written %.10g.
+
+def _write_report(fh, precision=None, metadata=(), results=(), table=None):
+    """Write one report to `fh`: the only writer of report lines and tables.
+
+    `metadata` pairs become '# key = value' lines, values as `str`; `results`
+    pairs become 'key = value' lines through `_show`; `table` is an optional
+    (header, rows) CSV block whose floats are written %.10g.
     """
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key} = {value}\n")
+    for key, value in metadata:
+        fh.write(f"# {key} = {value}\n")
+    for key, value in results:
+        fh.write(f"{key} = {_show(value, precision)}\n")
+    if table:
+        header, rows = table
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _save(path, **report):
+    with open(path, "w") as fh:
+        _write_report(fh, **report)
+
+
 # ---------------------------------------------------------------- commands
+#
+# Each returns (exit code, keyword arguments of `_write_report`) for `main`.
 
 
 def _cmd_fnk(args):
-    prec = args.precision
     spec = CombinerSpec.solve(args.n, args.k)
     # The envelope is linear in u below k/n, so its slopes are the bounds on
     # the correction; a power of two below 1/n keeps the division exact.
     probe = 2.0 ** -spec.n.bit_length()
     lower, upper = envelope(spec.n, spec.k, probe)
-    print(f"n = {spec.n}")
-    print(f"k = {spec.k}")
-    print(f"knee = {_fmt(spec.knee, prec)}")
-    print(f"correction = {_fmt(spec.slope, prec)}")
-    print(f"correction_lower_bound = {_fmt(lower / probe, prec)}")
-    print(f"correction_upper_bound = {_fmt(upper / probe, prec)}")
-    for u in args.u or []:
-        print(f"f({_fmt(u, prec)}) = {_fmt(spec.apply(u), prec)}")
-    return EXIT_OK
+    results = [("n", spec.n), ("k", spec.k), ("knee", spec.knee), ("correction", spec.slope),
+               ("correction_lower_bound", lower / probe), ("correction_upper_bound", upper / probe)]
+    results += [(f"f({_show(u, args.precision)})", spec.apply(u)) for u in args.u or []]
+    return EXIT_OK, dict(results=results)
 
 
 def _cmd_combine(args):
-    prec = args.precision
     res = combine_pvalues(read_pvalues(args.file), args.k)  # --median leaves k None
-    print(f"n = {res.n}")
-    print(f"k = {res.k}")
-    print(f"order_stat = {_fmt(res.order_stat, prec)}")
-    print(f"summary = {_fmt(res.summary, prec)}")
-    print(f"bound = {_fmt(res.bound, prec)}")
-    return EXIT_OK
+    return EXIT_OK, dict(results=[("n", res.n), ("k", res.k), ("order_stat", res.order_stat),
+                                  ("summary", res.summary), ("bound", res.bound)])
 
 
 def _cmd_validate(args):
     seed = _resolve_seed(args.seed)
-    report = tightness_scan(args.n, args.k, args.shrink, args.reps, seed)
-    metadata = {
-        "command": "validate",
-        "n": args.n,
-        "k": args.k,
-        "reps": args.reps,
-        "seed": seed,
-        "shrink": args.shrink,
-    }
-    _write_table(args.out, "alpha,empirical_cdf,std_err,verdict", report.rows(), metadata)
-    if args.out:
-        print(f"seed = {seed}")
-        print(f"report = {args.out}")
-        print(f"violations = {len(report.violations)}")
-    expect_violation = args.shrink < 1.0
-    return EXIT_OK if report.any_violation == expect_violation else EXIT_CHECK_FAILED
+    scan = tightness_scan(args.n, args.k, args.shrink, args.reps, seed)
+    code = EXIT_OK if scan.any_violation == (args.shrink < 1.0) else EXIT_CHECK_FAILED
+    report = dict(
+        metadata=[("command", "validate"), ("n", args.n), ("k", args.k), ("reps", args.reps),
+                  ("seed", seed), ("shrink", args.shrink)],
+        table=("alpha,empirical_cdf,std_err,verdict", scan.rows()),
+    )
+    if not args.out:
+        return code, report
+    _save(args.out, **report)
+    return code, dict(results=[("seed", seed), ("report", args.out),
+                               ("violations", len(scan.violations))])
 
 
 def _cmd_subsample(args):
-    prec = args.precision
     seed = _resolve_seed(args.seed)
     ranksum = args.test == "ranksum"
     data = GroupedDataset(read_grouped_csv(args.file, args.group_col, _score if ranksum else _bits))
     test = rank_sum_test if ranksum else make_bcmc_test(chain_length=args.chain_length)
     result = run_pipeline(data, test, args.n, k=args.k, seed=seed, bins=args.bins)
-    print("# command = subsample")
-    print(f"# seed = {seed}")
-    print(f"# test = {args.test}")
-    print(f"n = {args.n}")
-    print(f"k = {result.combined.k}")
-    print(f"m_groups = {data.m}")
-    q1, q2, q3 = result.quartiles
-    print(f"quartiles = {_fmt(q1, prec)} {_fmt(q2, prec)} {_fmt(q3, prec)}")
-    print(f"maximum = {_fmt(result.maximum, prec)}")
-    print(f"order_stat = {_fmt(result.combined.order_stat, prec)}")
-    print(f"summary = {_fmt(result.summary, prec)}")
-    print(f"bound = {_fmt(result.combined.bound, prec)}")
-
-    _write_table(args.hist_out, "bin_left,bin_right,count",
+    histogram = ("bin_left,bin_right,count",
                  zip(result.bin_edges[:-1], result.bin_edges[1:], map(int, result.bin_counts)))
-    if args.hist_out:
-        print(f"histogram = {args.hist_out}")
-    return EXIT_OK
+    report = dict(
+        metadata=[("command", "subsample"), ("seed", seed), ("test", args.test)],
+        results=[("n", args.n), ("k", result.combined.k), ("m_groups", data.m),
+                 ("quartiles", result.quartiles), ("maximum", result.maximum),
+                 ("order_stat", result.combined.order_stat), ("summary", result.summary),
+                 ("bound", result.combined.bound)],
+    )
+    if not args.hist_out:
+        return EXIT_OK, dict(report, table=histogram)
+    _save(args.hist_out, table=histogram)
+    report["results"].append(("histogram", args.hist_out))
+    return EXIT_OK, report
 
 
 def _cmd_bcmc(args):
-    prec = args.precision
     seed = _resolve_seed(args.seed)
     mat = read_binary_matrix(args.file)
     cfg = ChainConfig(length=args.chain_length, seed=seed)
+    results = [("rows", mat.shape[0]), ("cols", mat.shape[1]),
+               ("chain_length", args.chain_length), ("statistic", cfg.statistic.__name__)]
     if args.trace_out:
         pvalue, trace = serial_pvalue(mat, cfg, return_trace=True)
-        _write_table(args.trace_out, "t,statistic", enumerate(trace, start=1))
+        _save(args.trace_out, table=("t,statistic", enumerate(trace, start=1)))
+        results.append(("trace", args.trace_out))
     else:
         pvalue = serial_pvalue(mat, cfg)
-    print("# command = bcmc")
-    print(f"# seed = {seed}")
-    print(f"rows = {mat.shape[0]}")
-    print(f"cols = {mat.shape[1]}")
-    print(f"chain_length = {args.chain_length}")
-    print(f"statistic = {cfg.statistic.__name__}")
-    if args.trace_out:
-        print(f"trace = {args.trace_out}")
-    print(f"pvalue = {_fmt(pvalue, prec)}")
-    return EXIT_OK
+    results.append(("pvalue", pvalue))
+    return EXIT_OK, dict(metadata=[("command", "bcmc"), ("seed", seed)], results=results)
 
 
 # ---------------------------------------------------------------- wiring
@@ -376,7 +367,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        _write_report(sys.stdout, args.precision, **report)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,13 +35,14 @@ def check_seed(seed):
     return value
 
 
-def stream(seed, index):
-    """Generator for work unit `index` under the master `seed`.
+def stream(seed, *key):
+    """Generator for the work unit keyed `key` under the master `seed`.
 
-    The mapping (seed, index) -> stream is fixed, so any scheduling of the
-    work units reproduces the same draws.
+    The mapping (seed, key) -> stream is fixed, so any scheduling of the
+    work units reproduces the same draws.  The empty key is the master
+    stream ``SeedSequence(seed)`` itself, for a computation that is one unit.
     """
-    ss = np.random.SeedSequence(check_seed(seed), spawn_key=(int(index),))
+    ss = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(map(int, key)))
     return np.random.default_rng(ss)
 
 

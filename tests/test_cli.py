@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,12 @@ class TestFnk:
         code, _, err = run_cli(capsys, "fnk", "--n", "3", "--k", "1", "--u", "1.4")
         assert code == 2
 
+    def test_bad_evaluation_leaves_stdout_empty(self, capsys):
+        # the report is printed only once every value is computed
+        code, out, err = run_cli(capsys, "fnk", "--n", "3", "--k", "1", "--u", "0.2", "1.4")
+        assert code == 2 and out == ""
+        assert "error: u must lie in [0, 1]" in err
+
     def test_negative_precision_exit_two_before_output(self, capsys):
         code, out, err = run_cli_usage_error(capsys, "fnk", "--n", "10", "--k", "5",
                                              "--precision", "-3")
@@ -93,6 +101,13 @@ class TestCombine:
         code, _, err = run_cli(capsys, "combine", str(path), "--k", "1")
         assert code == 2
         assert "line 2" in err
+
+    def test_non_finite_value_names_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5\nnan\n0.2\n")
+        code, out, err = run_cli(capsys, "combine", str(path), "--k", "1")
+        assert code == 2 and out == ""
+        assert f"error: {path}: line 2: non-finite value 'nan'" in err
 
     def test_out_of_range_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -291,6 +306,15 @@ class TestSubsample:
         )
         assert code == 0
         assert "summary =" in out
+
+    def test_unwritable_hist_file_leaves_stdout_empty(self, tmp_path, capsys):
+        # the histogram file is written before the report is printed
+        rng = np.random.default_rng(1)
+        path = write_grouped(tmp_path / "g.csv", self.grouped_rows(rng))
+        code, out, err = run_cli(capsys, "subsample", path, "--group-col", "day", "--n", "30",
+                                 "--hist-out", str(tmp_path / "missing" / "h.csv"))
+        assert code == 2 and out == ""
+        assert "error: [Errno 2] No such file or directory" in err
 
     def test_missing_group_column_exit_two(self, tmp_path, capsys):
         path = write_grouped(tmp_path / "g.csv", [("a", 0.5)])
@@ -586,3 +610,65 @@ class TestBcmc:
         code, out, err = run_cli(capsys, *args)
         assert code == 0, err
         assert out == expected
+
+
+# ---------------------------------------------------------------- golden output
+#
+# Whole reports pinned byte for byte: stdout, stderr (when not empty) and every
+# output file of each case, stored under tests/golden/ as <case>.stdout,
+# <case>.stderr and <case>.<file>.  A case without a recorded stdout records
+# itself and fails; so after a declared output change, delete the case's files,
+# run the test twice and review the diff.
+
+GOLDEN = Path(__file__).with_name("golden")
+GOLDEN_INPUTS = {
+    "p.csv": "pvalue\n0.04\n0.3\n0.011\n0.5\n0.02\n0.9\n0.07\n",
+    "g.csv": "day,score\n" + "".join(f"d{i % 6},{i * 37 % 101 / 101:.6f}\n" for i in range(18)),
+    "b.csv": "day,s1,s2,s3,s4\n" + "".join(
+        f"d{i % 6}," + ",".join(str(int((i * i + 3 * j + i * j) % 7 < 3)) for j in range(4)) + "\n"
+        for i in range(12)),
+    "m.csv": "id,a,b,c,d\n" + "".join(
+        f"r{i}," + ",".join(str(int((i * 3 + j * 5) % 7 < 3)) for j in range(4)) + "\n"
+        for i in range(8)),
+}
+# case: (argv, exit code, output files)
+GOLDEN_CASES = {
+    "fnk_u": (["fnk", "--n", "3", "--k", "1", "--u", "0.2", "0", "0.5", "1"], 0, []),
+    "fnk_precision": (["fnk", "--n", "1000", "--k", "500", "--precision", "12"], 0, []),
+    "combine_median": (["combine", "p.csv", "--median"], 0, []),
+    "combine_k": (["combine", "p.csv", "--k", "2", "--precision", "4"], 0, []),
+    "validate": (["validate", "--n", "10", "--k", "5", "--reps", "3000", "--seed", "9"], 0, []),
+    "validate_out": (["validate", "--n", "10", "--k", "5", "--reps", "3000", "--seed", "9",
+                      "--out", "report.csv"], 0, ["report.csv"]),
+    "validate_shrink_out": (["validate", "--n", "6", "--k", "2", "--reps", "3000", "--seed", "2",
+                             "--shrink", "0.5", "--out", "report.csv"], 0, ["report.csv"]),
+    "subsample": (["subsample", "g.csv", "--group-col", "day", "--n", "30", "--seed", "5"], 0, []),
+    "subsample_hist": (["subsample", "g.csv", "--group-col", "day", "--n", "30", "--seed", "5",
+                        "--bins", "8", "--hist-out", "h.csv"], 0, ["h.csv"]),
+    "subsample_bcmc": (["subsample", "b.csv", "--group-col", "day", "--test", "bcmc", "--n", "9",
+                        "--k", "5", "--seed", "3", "--chain-length", "30"], 0, []),
+    "bcmc_trace": (["bcmc", "m.csv", "--chain-length", "40", "--seed", str(2**64 - 1),
+                    "--trace-out", "t.csv"], 0, ["t.csv"]),
+    "bcmc_precision": (["bcmc", "m.csv", "--chain-length", "200", "--seed", "4",
+                        "--precision", "3"], 0, []),
+    "missing_file": (["combine", "missing.csv", "--k", "1"], 2, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(case, tmp_path, capsys, monkeypatch):
+    argv, expected_code, files = GOLDEN_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code, err
+    produced = {f"{case}.stdout": out.encode(), **({f"{case}.stderr": err.encode()} if err else {})}
+    produced.update({f"{case}.{name}": (tmp_path / name).read_bytes() for name in files})
+    if not (GOLDEN / f"{case}.stdout").exists():
+        GOLDEN.mkdir(exist_ok=True)
+        for name, data in produced.items():
+            (GOLDEN / name).write_bytes(data)
+        pytest.fail(f"recorded {case}; review tests/golden/{case}.* and run again")
+    assert produced == {p.name: p.read_bytes() for p in GOLDEN.glob(f"{case}.*")}

@@ -1,7 +1,7 @@
 """Exit codes of the CLI on generated, often malformed, input.
 
 Every run must end in exit 0 or exit 2 (usage or data error) with an
-``error:`` line on stderr; `validate` may also exit 1 (its check did not come
+``error:`` line on stderr and nothing on stdout; `validate` may also exit 1 (its check did not come
 out as expected).  Exit 3 (internal numeric failure) means some bad input
 slipped past the checks.  About half of the inputs are well formed, so the
 success path runs too.  A last property writes one table in many CSV
@@ -56,6 +56,7 @@ def check_exit(code, out, err, ok=(0,)):
     assert code in (*ok, 2), (code, err)
     if code == 2:
         assert "error:" in err, err
+        assert out == "", out
 
 
 @st.composite
@@ -69,6 +70,17 @@ def table(draw, good_cells, width, max_rows=8, label=None):
         fields = draw(st.lists(alphabet, min_size=w, max_size=w))
         lines.append(",".join(([label(i)] if label else []) + fields) + "\n")
     return "".join(lines)
+
+
+@EXIT_SETTINGS
+@given(
+    n=sizes,
+    k=sizes,
+    us=st.lists(st.sampled_from(["nan", "inf", "-1", "-0.0", "0", "0.5", "1", "1.4"]),
+                max_size=4),
+)
+def test_fnk(n, k, us):
+    check_exit(*call(["fnk", "--n", str(n), "--k", str(k), "--u", *us]))
 
 
 @EXIT_SETTINGS
