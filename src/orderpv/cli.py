@@ -1,10 +1,11 @@
 """Command-line front end: CSV in, plain-text/CSV reports out.
 
-Each command computes its results and writes its output files first, then
-prints one report through `_write_report`: '# key = value' metadata lines,
-'key = value' result lines at --precision significant digits, then an
-optional CSV table with floats written %.10g.  A command that fails leaves
-stdout empty.
+Each command checks that its output files can be written, computes its
+results, writes its output files, then prints one report through
+`_write_report`: '# key = value' metadata lines, 'key = value' result lines
+at --precision significant digits, then an optional CSV table with floats
+written %.10g.  A command that fails leaves stdout empty and creates no
+output file.
 
 Exit codes: 0 success, 1 a requested check did not come out as expected,
 2 usage or data error, 3 internal numeric failure.  Every stochastic
@@ -205,6 +206,20 @@ def _save(path, **report):
         _write_report(fh, **report)
 
 
+def _check_out(path):
+    """Raise now the `OSError` that `_save(path)` would raise after the run.
+
+    The probe opens `path` for appending, which leaves an existing file as it
+    is, and removes a file it created, so a failed run leaves no file behind.
+    """
+    if path:
+        created = not os.path.lexists(path)
+        with open(path, "a"):
+            pass
+        if created:
+            os.remove(path)
+
+
 # ---------------------------------------------------------------- commands
 #
 # Each returns (exit code, keyword arguments of `_write_report`) for `main`.
@@ -229,6 +244,7 @@ def _cmd_combine(args):
 
 
 def _cmd_validate(args):
+    _check_out(args.out)
     seed = _resolve_seed(args.seed)
     scan = tightness_scan(args.n, args.k, args.shrink, args.reps, seed)
     code = EXIT_OK if scan.any_violation == (args.shrink < 1.0) else EXIT_CHECK_FAILED
@@ -245,6 +261,7 @@ def _cmd_validate(args):
 
 
 def _cmd_subsample(args):
+    _check_out(args.hist_out)
     seed = _resolve_seed(args.seed)
     ranksum = args.test == "ranksum"
     data = GroupedDataset(read_grouped_csv(args.file, args.group_col, _score if ranksum else _bits))
@@ -267,6 +284,7 @@ def _cmd_subsample(args):
 
 
 def _cmd_bcmc(args):
+    _check_out(args.trace_out)
     seed = _resolve_seed(args.seed)
     mat = read_binary_matrix(args.file)
     cfg = ChainConfig(length=args.chain_length, seed=seed)

@@ -672,3 +672,63 @@ def test_golden_output(case, tmp_path, capsys, monkeypatch):
             (GOLDEN / name).write_bytes(data)
         pytest.fail(f"recorded {case}; review tests/golden/{case}.* and run again")
     assert produced == {p.name: p.read_bytes() for p in GOLDEN.glob(f"{case}.*")}
+
+
+# ---------------------------------------------------------------- output paths
+#
+# Each output path is checked before the run: a bad one fails at once, with
+# the message that opening it would give, and no run leaves a file behind.
+
+OUTPUT_CASES = {  # command: (argv up to the output path, the computation it must not reach)
+    "validate": (["validate", "--n", "10", "--k", "5", "--reps", "1000000", "--out"],
+                 "tightness_scan"),
+    "subsample": (["subsample", "g.csv", "--group-col", "day", "--n", "30", "--hist-out"],
+                  "run_pipeline"),
+    "bcmc": (["bcmc", "m.csv", "--chain-length", "40", "--trace-out"], "serial_pvalue"),
+}
+
+
+def _in_golden_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    return sorted(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory", "file_as_dir"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
+def test_bad_output_path_fails_before_the_run(command, target, tmp_path, capsys, monkeypatch):
+    argv, computation = OUTPUT_CASES[command]
+    before = _in_golden_dir(tmp_path, monkeypatch)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{computation} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, computation, not_reached)
+    path = {"missing_dir": "missing/out.csv", "directory": ".", "file_as_dir": "p.csv/out.csv"}[target]
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out, err) == (2, "", f"error: {opened.value}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
+def test_failed_run_leaves_output_path_as_it_was(command, existing, tmp_path, capsys,
+                                                 monkeypatch):
+    argv, computation = OUTPUT_CASES[command]
+    _in_golden_dir(tmp_path, monkeypatch)
+    if existing:
+        (tmp_path / "out.csv").write_bytes(b"kept\n")
+
+    def fails(*args, **kwargs):
+        raise ValueError("the run failed")
+
+    monkeypatch.setattr(cli, computation, fails)
+    code, out, err = run_cli(capsys, *argv, "out.csv")
+    assert (code, out, err) == (2, "", "error: the run failed\n")
+    if existing:
+        assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
+    else:
+        assert not (tmp_path / "out.csv").exists()

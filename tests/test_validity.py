@@ -22,6 +22,18 @@ from orderpv.validity import (
 from oracles import adversarial_kernel_where, worst_case_orderstat_cdf
 
 
+class FixedDraws:
+    """A generator stub: `random(shape)` returns a copy of the next given array."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, shape):
+        out = np.array(self.arrays.pop(0), dtype=float)
+        assert out.shape == np.broadcast_shapes(shape)
+        return out
+
+
 class TestSimConfig:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -98,18 +110,58 @@ class TestAdversarialKernel:
         assert abs(emp - alpha) <= 3 * se
 
     @pytest.mark.parametrize("n,t,seed", [(1, 0.5, 0), (10, None, 1), (10, 0.0, 2), (10, 1.0, 3),
-                                          (37, 0.3, 4), (100, None, 5)])
+                                          (37, 0.3, 4), (100, None, 5),
+                                          (validity._PIECE_VALUES + 3, 0.5, 6)])
     def test_equals_where_oracle_bit_for_bit(self, n, t, seed):
-        # the atom written into the draws: same values, same stream consumed
+        # the atom written into the draws: same values, same stream consumed,
+        # also when the last piece has fewer rows or a row spans two pieces
         if t is None:
             t = solve_combiner(n, n // 2).knee
+        rows = max(1, validity._PIECE_VALUES // n)
+        sizes = (1, 2, 5) if rows == 1 else (1, rows - 1, rows + 1, 1000, CHUNK + 3)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for size in (1, 1000, CHUNK + 3):
+        for size in sizes:
             out = adversarial_kernel(n, t)(rng, size)
             ref = adversarial_kernel_where(n, t)(ref_rng, size)
             assert out.shape == ref.shape == (size, n) and out.dtype == ref.dtype
             assert out.tobytes() == ref.tobytes()
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 2.0**-1074, 0.25, 0.628, 1.0])
+    @pytest.mark.parametrize("n", [3, validity._PIECE_VALUES + 3])
+    def test_edge_draws_equal_where_oracle(self, n, t):
+        # u == t is not an atom; u = 0, x = 0 and the largest draw are exact
+        top = 1.0 - 2.0**-53  # the largest value `random` returns
+        near = [0.0, 2.0**-1074, t, np.nextafter(t, 0.0), np.nextafter(t, 1.0), 0.5 * t, top]
+        u = np.resize(np.minimum(np.abs(near), top), (4, n))
+        x = np.array([0.0, 2.0**-1074, 0.5, top])
+        out = adversarial_kernel(n, t)(FixedDraws(x, u), 4)
+        ref = adversarial_kernel_where(n, t)(FixedDraws(x, u), 4)
+        assert out.tobytes() == ref.tobytes()
+        if t < 1.0:
+            assert np.any(u == t) and np.any(out == t)
+
+    @pytest.mark.parametrize("factory", [lambda n: adversarial_kernel(n, 0.5), uniform_kernel],
+                             ids=["adversarial", "uniform"])
+    def test_factories_check_n(self, factory):
+        for n in (0, -1, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                factory(n)
+        for n in (10.0, np.int64(10)):
+            assert factory(n)(np.random.default_rng(0), 3).shape == (3, 10)
+
+    @pytest.mark.parametrize("n,size", [(2**16, 2), (10, CHUNK)])
+    def test_scratch_is_bounded(self, n, size):
+        # beside its (size, n) matrix and x the kernel keeps one piece's mask
+        kern = adversarial_kernel(n, 0.5)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            out = kern(rng, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * size + 128 * 1024, peak - out.nbytes - 8 * size
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
