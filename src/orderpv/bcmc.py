@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binom import _check_n
-from .rngs import check_seed, stream
+from .rngs import check_seed, integral, stream
 
 _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 # Most bytes of chain states scored in one statistic call.  Larger stacks
@@ -28,8 +28,8 @@ _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 _STACK_BYTES = 2**15
 # Below this many rows the checkerboard overlap counts are exact in float32.
 _FLOAT32_EXACT_ROWS = 2**24
-# Longest chain whose trace `serial_pvalue` returns.  The trace is built from
-# Python lists, about 27 bytes a step, so this is about 0.45 GB.
+# Longest chain whose trace `serial_pvalue` returns.  Joining its float64
+# pieces peaks at about 17 bytes a step, so this is about 0.28 GB.
 MAX_TRACE_LENGTH = 2**24
 
 
@@ -75,12 +75,12 @@ def _check_swappable(shape):
         )
 
 
-def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
+def _advance(work, steps, rng, score=None):
     """Run `steps` swap steps in place on `work`.
 
-    When `statistic` is given, each step is scored by the state it leaves;
-    returns the number of steps with statistic >= threshold, appending each
-    step's value to `trace` when provided.
+    When `score` is given, it is called as ``score(states, runs)`` on
+    read-only (B, r, c) int8 stacks of the states left by the steps, in
+    order; state i lasts ``runs[i]`` steps, and all runs add up to `steps`.
 
     The indices of a block are drawn as numpy arrays (one `rng.integers` call
     per corner, so the random stream is fixed by the block layout) and then
@@ -89,34 +89,31 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
     reads and writes cells through one 1-D memoryview per row of it,
     `rows[r1][c1]`: a list lookup and a 1-D index cost less than a tuple
     index into a 2-D memoryview (on a 2-core x86 host, 10**4 steps of a
-    40x20 chain without a statistic took 3.6 ms with that and 2.1 ms with
+    40x20 chain without scoring took 3.6 ms with that and 2.1 ms with
     the row views).  Flat indices r1 * c + c1 are not precomputed: above 256
     they are not cached small ints, and the four lists of one block add
     about 0.7 MB to the traced peak of a 40x20 chain.
 
-    The statistic is not called inside the loop.  A state keeps its value
-    until the next accepted swap, so the loop only appends a byte snapshot
-    of each new state, and the step where it begins, to a stack.  A stack
-    is scored in one call when it is full (`_STACK_BYTES`; a larger state
-    goes alone) and at the end, and each value counts once per step its
-    state lasts.  One numpy call costs several microseconds whatever its
-    size, and on a 40x20 chain about one step in ten is accepted.  Scored
-    one state at a time, the statistic took about 80 % of such a chain's
-    time; in stacks it takes about half: 10**4 steps took 2.1 ms without a
-    statistic, 2.7 ms with one that costs nothing, and 5.9 ms with
-    `checkerboard_score`.
+    A state lasts until the next accepted swap, so the loop only appends a
+    byte snapshot of each new state, and the step where it begins, to a
+    stack, which goes to `score` when full (`_STACK_BYTES`; a larger state
+    goes alone) and at the end.  One numpy call costs several microseconds
+    whatever its size, and on a 40x20 chain about one step in ten is
+    accepted.  Scored one state at a time, the statistic took about 80 % of
+    such a chain's time; in stacks it takes about half: 10**4 steps took
+    2.1 ms without scoring, 2.7 ms with a statistic that costs nothing, and
+    5.9 ms with `checkerboard_score`.
     """
     if steps <= 0:
-        return 0
+        return
     _check_swappable(work.shape)
     r, c = work.shape
     cells = bytearray(work.tobytes())
     view = memoryview(cells)
     rows = [view[i * c:(i + 1) * c] for i in range(r)]
     full = max(1, _STACK_BYTES // len(cells)) * len(cells)  # bytes of a full stack
-    stack = None if statistic is None else bytearray(cells)
+    stack = None if score is None else bytearray(cells)
     starts = [0]  # the step at which each stacked state begins
-    count = 0
     done = 0
     while done < steps:
         b = min(_BLOCK, steps - done)
@@ -139,39 +136,31 @@ def _advance(work, steps, rng, statistic=None, threshold=None, trace=None):
                 row2[c1] = a
                 if stack is not None:
                     if len(stack) == full:
-                        count += _score_stack(stack, starts, t, work.shape, statistic,
-                                              threshold, trace)
+                        _score_stack(stack, starts, t, work.shape, score)
                         stack, starts = bytearray(), []
                     stack += cells
                     starts.append(t)
         done += b
     if stack is not None:
-        count += _score_stack(stack, starts, steps, work.shape, statistic, threshold, trace)
+        _score_stack(stack, starts, steps, work.shape, score)
     work[...] = np.frombuffer(cells, dtype=np.int8).reshape(r, c)
-    return count
 
 
-def _score_stack(stack, starts, end, shape, statistic, threshold, trace):
-    """Score the stacked states in one `statistic` call; see `_advance`.
+def _score_stack(stack, starts, end, shape, score):
+    """Hand the stacked states and their runs to `score`; see `_advance`.
 
     State i lasts from step starts[i] to the next start, the last one to
     `end`.  Only the first state can last no step (the chain's first step
-    swapped it away); it is dropped.  Returns the number of steps >= threshold.
+    swapped it away); it is dropped, and an empty stack is not handed on.
+    With the runs, a score keeps no Python object per step: the trace of
+    `_serial_pvalue_rng` holds 8 bytes a step until it is joined.
     """
     runs = np.diff(starts, append=end)
-    states = np.frombuffer(stack, dtype=np.int8).reshape(-1, *shape)
-    if not runs[0]:
-        states, runs = states[1:], runs[1:]
-        if not runs.size:
-            return 0
-    states.setflags(write=False)
-    values = statistic(states)
-    if trace is not None:
-        for value, run in zip(values, runs.tolist()):
-            trace += [value] * run
-    if threshold is None:
-        return 0
-    return int(runs[np.asarray(values) >= threshold].sum())
+    first = 0 if runs[0] else 1
+    if runs.size > first:
+        states = np.frombuffer(stack, dtype=np.int8).reshape(-1, *shape)[first:]
+        states.setflags(write=False)
+        score(states, runs[first:])
 
 
 def checkerboard_score(mats):
@@ -241,25 +230,36 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
     """Serial construction on a caller-provided generator; see `serial_pvalue`.
 
     `entries` comes from `_as_binary`; its shape is checked at every length.
+    `tally` scores each stack `_advance` hands on in one `statistic` call and
+    counts the runs of values >= the observed one.  The trace joins the
+    pieces ``np.repeat(values, runs)`` once, the backward ones reversed.
     """
     _check_swappable(entries.shape)
     tau = int(rng.integers(1, length + 1))
-    observed = statistic(entries[None])[0]
 
-    forward_trace = [] if return_trace else None
-    backward_trace = [] if return_trace else None
+    def evaluate(states):
+        values = np.asarray(statistic(states))
+        if values.shape != (len(states),):
+            raise ValueError(f"statistic gave shape {values.shape} for {len(states)} states")
+        return values
 
+    def tally(states, runs):
+        nonlocal count
+        values = evaluate(states)
+        count += int(runs[values >= observed].sum())
+        if return_trace:
+            pieces.append(np.repeat(values, runs))
+
+    observed = evaluate(entries[None])[0]
     count = 1  # t = tau
-    work = np.array(entries, dtype=np.int8)
-    count += _advance(work, length - tau, rng, statistic, observed, forward_trace)
-    work = np.array(entries, dtype=np.int8)
-    count += _advance(work, tau - 1, rng, statistic, observed, backward_trace)
-
-    pvalue = count / length
+    pieces = []
+    _advance(np.array(entries, dtype=np.int8), length - tau, rng, tally)
+    forward = len(pieces)
+    _advance(np.array(entries, dtype=np.int8), tau - 1, rng, tally)
     if not return_trace:
-        return pvalue
-    trace = list(reversed(backward_trace)) + [observed] + (forward_trace or [])
-    return pvalue, np.asarray(trace, dtype=float)
+        return count / length
+    backward = [piece[::-1] for piece in reversed(pieces[forward:])]
+    return count / length, np.concatenate([*backward, [observed], *pieces[:forward]], dtype=float)
 
 
 def serial_pvalue(mat, cfg, return_trace=False):
@@ -308,8 +308,9 @@ def generate_null_matrix(row_sums, col_sums, burn_in=10_000, seed=0):
     """
     seed = check_seed(seed)
     rows, cols = _check_margins(row_sums, col_sums)
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    steps = integral(burn_in)
+    if steps is None or steps < 0:
+        raise ValueError(f"burn_in must be a non-negative integer, got {burn_in!r}")
 
     entries = np.zeros((rows.size, cols.size), dtype=np.int8)
     caps = cols.copy()
@@ -323,6 +324,6 @@ def generate_null_matrix(row_sums, col_sums, burn_in=10_000, seed=0):
         entries[i, targets] = 1
         caps[targets] -= 1
 
-    if burn_in > 0 and rows.size >= 2 and cols.size >= 2:
-        _advance(entries, burn_in, stream(seed))
+    if steps > 0 and rows.size >= 2 and cols.size >= 2:
+        _advance(entries, steps, stream(seed))
     return BinaryMatrix(entries)

@@ -15,6 +15,7 @@ output byte for byte.
 
 import argparse
 import csv
+import io
 import os
 import sys
 
@@ -386,7 +387,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         code, report = args.func(args)
-        _write_report(sys.stdout, args.precision, **report)
+        text = io.StringIO()  # a report that fails to format prints nothing
+        _write_report(text, args.precision, **report)
+        sys.stdout.write(text.getvalue())
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

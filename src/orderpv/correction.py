@@ -127,7 +127,7 @@ class CombinerSpec:
         _check_nk(self.n, self.k)
         if not 0.0 <= self.knee <= 1.0:
             raise ValueError(f"knee must lie in [0, 1], got {self.knee}")
-        if self.slope < 1.0 - 1e-9:
+        if not self.slope >= 1.0 - 1e-9:
             raise ValueError(f"slope must be >= 1, got {self.slope}")
 
     @classmethod
@@ -137,18 +137,16 @@ class CombinerSpec:
         The stationarity function ``w(p) = p * tail' (p) - tail(p)`` is
         strictly decreasing on [(k-1)/(n-1), 1], positive at the left end and
         -1 at the right, so Brent's method finds its root in that bracket.
-        Degenerate configurations are dispatched analytically: k = n gives
-        the identity correction (knee 1, slope 1) and k = 1 gives slope n at
-        knee 0.
+        Degenerate configurations are dispatched analytically: k = 1 gives
+        slope n at knee 0 (n = 1 included) and k = n gives the identity
+        correction (knee 1, slope 1).
         """
         n, k = _check_nk(n, k)
 
-        if n == 1:
-            return cls(1, 1, 0.0, 1.0)
-        if k == n:
-            return cls(n, k, 1.0, 1.0)
         if k == 1:
             return cls(n, k, 0.0, float(n))
+        if k == n:
+            return cls(n, k, 1.0, 1.0)
 
         knee = _brentq(lambda p: _stationarity(p, n, k), (k - 1) / (n - 1), 1.0, _XTOL)
         return cls(n, k, knee, tail_ratio(n, k, knee))

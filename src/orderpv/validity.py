@@ -212,7 +212,7 @@ def check_validity(cfg, f, kernel):
     )
 
 
-def tightness_scan(n, k, shrink, reps, seed, alpha_grid=None):
+def tightness_scan(n, k, shrink, reps, seed):
     """Probe whether a shrunken correction still looks valid.
 
     Runs `check_validity` with ``shrink * corrected`` against the worst-case
@@ -222,9 +222,6 @@ def tightness_scan(n, k, shrink, reps, seed, alpha_grid=None):
     """
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-    cfg = SimConfig(
-        n=n, k=k, reps=reps, seed=seed,
-        alpha_grid=DEFAULT_ALPHA_GRID.copy() if alpha_grid is None else alpha_grid,
-    )
+    cfg = SimConfig(n=n, k=k, reps=reps, seed=seed)
     spec = solve_combiner(n, k)
     return check_validity(cfg, lambda u: shrink * spec.apply(u), adversarial_kernel(n, spec.knee))

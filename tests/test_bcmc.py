@@ -140,6 +140,27 @@ def layouts(entries):
     return [entries.copy(), np.asfortranarray(entries), strided]
 
 
+def advance_counting(work, steps, rng, statistic, threshold=None, trace=None):
+    """`_advance` behind the interface of `advance_reference`.
+
+    Scores each stack `_advance` hands on, counts the steps whose value is
+    >= `threshold` and appends each step's value to `trace`.
+    """
+    count = 0
+
+    def score(states, runs):
+        nonlocal count
+        values = statistic(states)
+        if trace is not None:
+            for value, run in zip(values, runs.tolist()):
+                trace.extend([value] * run)
+        if threshold is not None:
+            count += int(runs[np.asarray(values) >= threshold].sum())
+
+    _advance(work, steps, rng, score)
+    return count
+
+
 class TestAdvanceMatchesReference:
     """`_advance` against the numpy-indexed loop in `oracles`, state by state.
 
@@ -168,7 +189,7 @@ class TestAdvanceMatchesReference:
             entries = picker.random((r, c)) < picker.random()
             steps, seed = int(picker.integers(1, 300)), int(picker.integers(2**32))
             work, ref = layouts(entries)[i % 3], layouts(entries)[i % 3]
-            got = self.run(_advance, work, steps, seed)
+            got = self.run(advance_counting, work, steps, seed)
             want = self.run(advance_reference, ref, steps, seed)
             assert got == want, i
             assert np.array_equal(work, ref)
@@ -180,7 +201,7 @@ class TestAdvanceMatchesReference:
         """Count, trace, final state and generator state of both chains."""
         observed = checkerboard_score(mat)
         results = []
-        for advance in (_advance, advance_reference):
+        for advance in (advance_counting, advance_reference):
             work, rng, trace = np.array(mat.entries), np.random.default_rng(seed), []
             count = advance(work, steps, rng, checkerboard_score, observed, trace)
             results.append((count, trace, work.tobytes(), rng.bit_generator.state))
@@ -205,7 +226,7 @@ class TestAdvanceMatchesReference:
         # 256, past Python's cached small ints, through the row views
         entries = np.random.default_rng(80).random(shape) < 0.15
         for i, (work, ref) in enumerate(zip(layouts(entries), layouts(entries))):
-            got = self.run(_advance, work, 10_000, 81 + i)
+            got = self.run(advance_counting, work, 10_000, 81 + i)
             want = self.run(advance_reference, ref, 10_000, 81 + i)
             assert got == want, i
             assert len(set(got[0])) > 100
@@ -261,15 +282,29 @@ class TestStackedStatistic:
         # views; precomputed flat index lists r1 * c + c1 hold int objects
         # above 256 and take it to about 1.9 MB
         mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
-        observed = checkerboard_score(mat)
         work = np.array(mat.entries)
         tracemalloc.start()
         try:
-            _advance(work, 10_000, np.random.default_rng(5), checkerboard_score, observed)
+            advance_counting(work, 10_000, np.random.default_rng(5), checkerboard_score,
+                             checkerboard_score(mat))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_500_000
+
+    def test_traced_peak_of_a_traced_chain_per_step(self):
+        # two float64 copies of the trace, the pieces and the joined array,
+        # about 17.1 bytes a step; Python lists of the values took 27
+        mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
+        steps = 100_000
+        tracemalloc.start()
+        try:
+            _, trace = serial_pvalue(mat, ChainConfig(length=steps, seed=5), return_trace=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.shape == (steps,)
+        assert peak <= 18 * steps
 
 
 class TestChainPins:
@@ -444,6 +479,18 @@ class TestSerialPvalue:
         assert observed in trace
         assert p == np.mean(trace >= observed)
 
+    def test_power_on_planted_blocks(self):
+        # 1000 planted 12x8 matrices, cells 1 with probability 0.7 in two
+        # diagonal blocks and 0.3 elsewhere, ranked by the default statistic
+        # in chains of length 1000 as `subsample --test bcmc` does.  Power
+        # at alpha = 0.05 measured 0.222; the floor is that minus 3 sigma,
+        # 3 * sqrt(0.222 * 0.778 / 1000) = 0.039.
+        prob = np.full((12, 8), 0.3)
+        prob[:6, :4] = prob[6:, 4:] = 0.7
+        mats = np.random.default_rng(12).random((1000, 12, 8)) < prob
+        pvalues = make_bcmc_test(1000)(mats, stream(8))
+        assert (pvalues <= 0.05).mean() >= 0.222 - 0.039
+
     def test_null_validity_on_enumerated_class(self):
         members = enumerate_margin_class(*BLOCK_MARGINS)
         picker = np.random.default_rng(123)
@@ -486,6 +533,17 @@ class TestSerialPvalue:
         for bad in ([[0, 2], [1, 0]], [[0.5, 1], [1, 0]], np.zeros((0, 3)), [1, 0, 1], *other_dtypes):
             with pytest.raises(ValueError, match="entries must be"):
                 serial_pvalue(bad, cfg)
+
+    @pytest.mark.parametrize("statistic, shape", [
+        (lambda s: np.zeros(1), r"\(1,\) for \d+ states"),
+        (lambda s: np.zeros((len(s), 1)), r"\(1, 1\) for 1 states"),
+        (lambda s: 0.0, r"\(\) for 1 states"),
+    ])
+    def test_statistic_must_give_one_value_per_state(self, statistic, shape):
+        # a (1,) result passes on the observed state and fails on a later stack
+        mat = generate_null_matrix(*BLOCK_MARGINS, burn_in=100, seed=2)
+        with pytest.raises(ValueError, match=f"statistic gave shape {shape}"):
+            serial_pvalue(mat, ChainConfig(length=200, statistic=statistic, seed=3))
 
     def test_custom_statistic_receives_int8(self):
         seen = set()
@@ -589,6 +647,16 @@ class TestGenerateNullMatrix:
         for seed in (7, np.int64(7), np.uint64(7), 7.0):
             got = generate_null_matrix([2, 1, 1], [1, 2, 1], burn_in=5, seed=seed).entries
             assert np.array_equal(got, want)
+
+    def test_rejects_non_integral_burn_in(self):
+        for burn_in in (2.5, -1, float("nan"), "5", None):
+            with pytest.raises(ValueError, match="burn_in"):
+                generate_null_matrix([2, 2], [2, 2], burn_in=burn_in)
+        want = generate_null_matrix([2, 1, 1], [1, 2, 1], burn_in=5, seed=7).entries
+        for burn_in in (np.int64(5), 5.0):
+            got = generate_null_matrix([2, 1, 1], [1, 2, 1], burn_in=burn_in, seed=7).entries
+            assert np.array_equal(got, want)
+        assert generate_null_matrix([2, 2], [2, 2], burn_in=0).entries.tolist() == [[1, 1], [1, 1]]
 
     def test_burned_in_draws_cover_class_uniformly(self):
         states = {state_key(m): i for i, m in enumerate(enumerate_margin_class(*PERM_MARGINS))}

@@ -73,6 +73,13 @@ class TestFnk:
         assert code == 2 and out == ""
         assert "precision must be >= 0" in err
 
+    def test_report_that_fails_to_format_leaves_stdout_empty(self, capsys):
+        # n and k format at any precision; the floats after them do not
+        code, out, err = run_cli(capsys, "fnk", "--n", "10", "--k", "5",
+                                 "--precision", "10000000000")
+        assert code == 2 and out == ""
+        assert "error: precision too big" in err
+
 
 class TestCombine:
     def test_reference_file(self, tmp_path, capsys):

@@ -78,9 +78,12 @@ def table(draw, good_cells, width, max_rows=8, label=None):
     k=sizes,
     us=st.lists(st.sampled_from(["nan", "inf", "-1", "-0.0", "0", "0.5", "1", "1.4"]),
                 max_size=4),
+    # large precisions that format are slow and big; 10**10 fails to format
+    precision=st.sampled_from([-1, 0, 1, 6, 17, 10**10]),
 )
-def test_fnk(n, k, us):
-    check_exit(*call(["fnk", "--n", str(n), "--k", str(k), "--u", *us]))
+def test_fnk(n, k, us, precision):
+    check_exit(*call(["fnk", "--n", str(n), "--k", str(k), "--u", *us,
+                      "--precision", str(precision)]))
 
 
 @EXIT_SETTINGS

@@ -146,6 +146,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             CombinerSpec.solve(5, 6)
 
+    def test_rejects_nan_slope_and_knee(self):
+        with pytest.raises(ValueError, match="slope"):
+            CombinerSpec(5, 3, 0.5, float("nan"))
+        with pytest.raises(ValueError, match="knee"):
+            CombinerSpec(5, 3, float("nan"), 2.0)
+
 
 class TestApply:
     def test_reference_combined_value(self):

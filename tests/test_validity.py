@@ -422,8 +422,7 @@ class TestTightnessScan:
         assert report.any_violation
 
     def test_half_correction_caught_at_small_alpha(self):
-        grid = np.array([0.1, 0.2, 0.3])
-        report = tightness_scan(4, 2, 0.5, 100_000, 9, alpha_grid=grid)
+        report = tightness_scan(4, 2, 0.5, 100_000, 9)
         assert 0.1 in report.violations
 
     def test_rejects_bad_shrink(self):
