@@ -28,8 +28,10 @@ _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 _STACK_BYTES = 2**15
 # Below this many rows the checkerboard overlap counts are exact in float32.
 _FLOAT32_EXACT_ROWS = 2**24
-# Longest chain whose trace `serial_pvalue` returns.  Joining its float64
-# pieces peaks at about 17 bytes a step, so this is about 0.28 GB.
+# Longest chain whose trace `serial_pvalue` returns.  The trace is one
+# float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak,
+# plus the piece of one stack: a few KB on a chain that moves, up to
+# another 8 bytes a step on one that seldom does.
 MAX_TRACE_LENGTH = 2**24
 
 
@@ -153,7 +155,7 @@ def _score_stack(stack, starts, end, shape, score):
     `end`.  Only the first state can last no step (the chain's first step
     swapped it away); it is dropped, and an empty stack is not handed on.
     With the runs, a score keeps no Python object per step: the trace of
-    `_serial_pvalue_rng` holds 8 bytes a step until it is joined.
+    `_serial_pvalue_rng` holds 8 bytes a step.
     """
     runs = np.diff(starts, append=end)
     first = 0 if runs[0] else 1
@@ -231,8 +233,11 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
 
     `entries` comes from `_as_binary`; its shape is checked at every length.
     `tally` scores each stack `_advance` hands on in one `statistic` call and
-    counts the runs of values >= the observed one.  The trace joins the
-    pieces ``np.repeat(values, runs)`` once, the backward ones reversed.
+    counts the runs of values >= the observed one.  The trace is one float64
+    array of the chain's length: each piece ``np.repeat(values, runs)`` is
+    written into it as it comes, forward pieces from position tau + 1 up and
+    backward pieces from tau - 1 down, so it holds 8 bytes a step and the
+    piece of one stack.
     """
     _check_swappable(entries.shape)
     tau = int(rng.integers(1, length + 1))
@@ -244,22 +249,27 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
         return values
 
     def tally(states, runs):
-        nonlocal count
+        nonlocal count, filled
         values = evaluate(states)
         count += int(runs[values >= observed].sum())
-        if return_trace:
-            pieces.append(np.repeat(values, runs))
+        if side is not None:
+            piece = np.repeat(values, runs)
+            side[filled:filled + piece.size] = piece
+            filled += piece.size
 
     observed = evaluate(entries[None])[0]
     count = 1  # t = tau
-    pieces = []
-    _advance(np.array(entries, dtype=np.int8), length - tau, rng, tally)
-    forward = len(pieces)
-    _advance(np.array(entries, dtype=np.int8), tau - 1, rng, tally)
+    trace = np.empty(length) if return_trace else None
+    # the forward chain fills trace[tau:] and the backward chain trace[:tau - 1]
+    # through a reversed view, so both fill their side upward
+    sides = (trace[tau:], trace[:tau - 1][::-1]) if return_trace else (None, None)
+    for steps, side in zip((length - tau, tau - 1), sides):
+        filled = 0
+        _advance(np.array(entries, dtype=np.int8), steps, rng, tally)
     if not return_trace:
         return count / length
-    backward = [piece[::-1] for piece in reversed(pieces[forward:])]
-    return count / length, np.concatenate([*backward, [observed], *pieces[:forward]], dtype=float)
+    trace[tau - 1] = observed
+    return count / length, trace
 
 
 def serial_pvalue(mat, cfg, return_trace=False):

@@ -12,19 +12,22 @@ The resulting map is a continuous increasing bijection of [0,1] onto [0,1],
 bounded above by ``min(1, n*u/k)`` (so "twice the left sample median" is
 always a conservative summary) and below by that bound divided by
 ``1 + 5*k**(-1/3)``.
+
+The incomplete beta calls go through `binom.special`, scipy.special loaded
+on first use: the first solve, tail or inverse in a process pays its import.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .binom import (
     _as_result,
     _check_nk,
     _check_p,
     binom_upper_tail,
+    special,
 )
 
 DEFAULT_TOL = 1e-12

@@ -133,3 +133,61 @@ def test_import_and_combine_leave_scipy_stats_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def run_fresh(code):
+    """Last stdout line of `code` run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(orderpv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+class TestLazySpecial:
+    """scipy.special loads on its first use; `_ufuncs` shows whether it ran.
+
+    The lazy module itself sits in sys.modules from `import orderpv` on, so
+    the tests look for the extension module its package init imports.
+    """
+
+    def test_chain_path_leaves_special_unloaded(self, tmp_path):
+        path, trace = tmp_path / "m.csv", tmp_path / "t.csv"
+        path.write_text("1,0,1,0\n0,1,1,0\n1,1,0,1\n")
+        code = (
+            "import sys; import orderpv; from orderpv import cli; "
+            "m = orderpv.generate_null_matrix([2, 1, 3], [2, 2, 1, 1], burn_in=100, seed=1); "
+            "orderpv.serial_pvalue(m, orderpv.ChainConfig(length=500, seed=2)); "
+            f"code = cli.main(['bcmc', {str(path)!r}, '--chain-length', '300', "
+            f"'--trace-out', {str(trace)!r}]); "
+            "print(code, 'scipy.special._ufuncs' in sys.modules)"
+        )
+        assert run_fresh(code) == "0 False"
+        assert len(trace.read_text().splitlines()) == 301
+
+    def test_combine_loads_special_once(self):
+        code = (
+            "import sys; import numpy as np; import orderpv; "
+            "r = orderpv.combine_pvalues(np.linspace(0.01, 0.99, 301)); "
+            "print(r.summary, 'scipy.special._ufuncs' in sys.modules, "
+            "orderpv.binom.special is sys.modules['scipy.special'] is sys.modules['scipy'].special)"
+        )
+        summary, loaded, same = run_fresh(code).split()
+        assert float(summary) == orderpv.combine_pvalues(np.linspace(0.01, 0.99, 301)).summary
+        assert (loaded, same) == ("True", "True")
+
+    def test_special_imported_first_is_reused(self):
+        code = (
+            "import sys; import scipy.special; import orderpv; "
+            "print(orderpv.binom.special is scipy.special is sys.modules['scipy.special'])"
+        )
+        assert run_fresh(code) == "True"
+
+    def test_inverse_tail_as_first_use(self):
+        # 0.9 is above slope * knee = 0.75, so betaincinv loads the module
+        code = (
+            "import orderpv; "
+            "print(repr(orderpv.CombinerSpec(10, 5, 0.5, 1.5).invert(0.9)))"
+        )
+        spec = orderpv.CombinerSpec(10, 5, 0.5, 1.5)
+        assert float(run_fresh(code)) == spec.invert(0.9)
+        assert spec.apply(spec.invert(0.9)) == pytest.approx(0.9, abs=1e-12)
