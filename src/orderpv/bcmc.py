@@ -29,10 +29,15 @@ _STACK_BYTES = 2**15
 # Below this many rows the checkerboard overlap counts are exact in float32.
 _FLOAT32_EXACT_ROWS = 2**24
 # Longest chain whose trace `serial_pvalue` returns.  The trace is one
-# float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak,
-# plus the piece of one stack: a few KB on a chain that moves, up to
-# another 8 bytes a step on one that seldom does.
+# float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak.
 MAX_TRACE_LENGTH = 2**24
+# Most steps of a stack whose trace values are built as one `np.repeat` piece
+# (128 KB) before they are copied into the trace; a stack spanning more steps,
+# as on a chain that seldom moves, writes each state's run as a slice
+# instead.  Slices cost about 0.4 us a state against 0.07 us in the piece
+# (2-core x86 host): on a 2x2 chain that moves at every step, writing all
+# stacks slice by slice made the traced chain about 60 % slower.
+_PIECE_STEPS = 2**14
 
 
 class BinaryMatrix:
@@ -215,8 +220,9 @@ class ChainConfig:
 
     `statistic` maps a (B, r, c) int8 stack of 0/1 matrices to their (B,)
     values; larger values count as more extreme.  A matrix must get the
-    same value whatever stack it is in.  The length and the seed are
-    checked and stored as ints; a non-integral one is refused.
+    same value whatever stack it is in; a NaN value stops the chain with a
+    ValueError.  The length and the seed are checked and stored as ints; a
+    non-integral one is refused.
     """
 
     length: int
@@ -234,10 +240,9 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
     `entries` comes from `_as_binary`; its shape is checked at every length.
     `tally` scores each stack `_advance` hands on in one `statistic` call and
     counts the runs of values >= the observed one.  The trace is one float64
-    array of the chain's length: each piece ``np.repeat(values, runs)`` is
-    written into it as it comes, forward pieces from position tau + 1 up and
-    backward pieces from tau - 1 down, so it holds 8 bytes a step and the
-    piece of one stack.
+    array of the chain's length: each stack's runs are written into it as
+    they come, forward from position tau + 1 up and backward from tau - 1
+    down, so it holds 8 bytes a step and at most `_PIECE_STEPS` more.
     """
     _check_swappable(entries.shape)
     tau = int(rng.integers(1, length + 1))
@@ -246,16 +251,27 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
         values = np.asarray(statistic(states))
         if values.shape != (len(states),):
             raise ValueError(f"statistic gave shape {values.shape} for {len(states)} states")
+        # NaN >= x and x >= NaN are both False: a NaN state would count as
+        # less extreme, and a NaN observed value would give p = 1/N
+        nan = np.count_nonzero(values != values)
+        if nan:
+            raise ValueError(f"statistic gave NaN on {nan} of {len(states)} states")
         return values
 
     def tally(states, runs):
         nonlocal count, filled
         values = evaluate(states)
         count += int(runs[values >= observed].sum())
-        if side is not None:
-            piece = np.repeat(values, runs)
-            side[filled:filled + piece.size] = piece
-            filled += piece.size
+        if side is None:
+            return
+        span = int(runs.sum())
+        if span <= _PIECE_STEPS:
+            side[filled:filled + span] = np.repeat(values, runs)
+            filled += span
+            return
+        for value, run in zip(values.tolist(), runs.tolist()):
+            side[filled:filled + run] = value
+            filled += run
 
     observed = evaluate(entries[None])[0]
     count = 1  # t = tau

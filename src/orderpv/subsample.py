@@ -17,7 +17,7 @@ in [0, 1] per row.  Deterministic tests simply ignore `rng`.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, floor
 
 import numpy as np
 
@@ -153,23 +153,55 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
     The histogram covers [0, 1] in `bins` equal cells and stands in for a
     figure; quartiles and the maximum summarize the subsample distribution.
     More than `MAX_BINS` bins are refused before anything is drawn.
+
+    One sort feeds every summary: the maximum is the last sorted value, the
+    bin counts are differences of the sorted positions of the bin edges, and
+    the quartiles interpolate between neighbouring sorted values.  Each
+    equals what `np.quantile`, `np.histogram` and ``sample.max()`` give, bit
+    for bit, without rescanning the sample three times.
     """
     bins = _check_n(bins, "bins")
     if bins > MAX_BINS:
         raise ValueError(f"at most MAX_BINS = {MAX_BINS} histogram bins are supported, got {bins}")
     sample = subsample_pvalues(data, test, n, seed)
     combined = combine_pvalues(sample, k)
-    q1, q2, q3 = np.quantile(sample, [0.25, 0.5, 0.75])
-    counts, edges = np.histogram(sample, bins=bins, range=(0.0, 1.0))
+    ordered = np.sort(sample)
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    # every value lies in [0, 1]: bin i holds edges[i] <= x < edges[i + 1],
+    # and the last bin holds 1.0 too, as in np.histogram
+    at = np.searchsorted(ordered, edges)
+    at[-1] = ordered.size
     return PipelineResult(
         summary=combined.summary,
         combined=combined,
         sample=sample,
-        quartiles=(float(q1), float(q2), float(q3)),
-        maximum=float(sample.max()),
+        quartiles=_quartiles(ordered),
+        maximum=float(ordered[-1]),
         bin_edges=edges,
-        bin_counts=counts,
+        bin_counts=np.diff(at),
     )
+
+
+def _quartiles(ordered):
+    """``np.quantile(ordered, [0.25, 0.5, 0.75])`` of a sorted sample, as floats.
+
+    numpy's default (linear) method in the same float operations: at the
+    virtual index (n - 1) q, with a and b the sorted values on either side
+    of it and g its fractional part, a + (b - a) g, or b - (b - a) (1 - g)
+    when g >= 0.5.
+    """
+    last = ordered.size - 1
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        index = last * q
+        lo = floor(index)
+        if lo >= last:  # a single value
+            out.append(float(ordered[last]))
+            continue
+        g = index - lo
+        a, b = float(ordered[lo]), float(ordered[lo + 1])
+        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return tuple(out)
 
 
 # Most repetitions one subsample run accepts: its float64 sample is 1 GiB.
@@ -180,8 +212,9 @@ MAX_REPETITIONS = 2**27
 # of m groups each, checked before anything is drawn.
 MAX_BLOCK_BYTES = 2**30
 
-# Most histogram bins `run_pipeline` accepts; numpy builds bins + 1 float64
-# edges, 8 MB here.
+# Most histogram bins `run_pipeline` accepts; the report then holds bins + 1
+# float64 edges, as many int64 sorted positions and bins int64 counts, about
+# 24 MB here.
 MAX_BINS = 2**20
 
 # Largest group count the exact rank-sum test accepts.  Its cached CDF table

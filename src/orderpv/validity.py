@@ -169,6 +169,9 @@ def _tally_chunk(cfg, f, kernel, rng, size):
     draws.partition(cfg.k - 1, axis=1)
     u = draws[:, cfg.k - 1]
     v = np.sort(np.asarray(f(u), dtype=float))
+    # NaN sorts last and NaN <= alpha is False: it would pass as valid
+    if v.size and np.isnan(v[-1]):
+        raise ValueError(f"f gave NaN on {np.count_nonzero(np.isnan(v))} of {v.size} values")
     # hits at alpha: the number of combined values <= alpha
     return np.searchsorted(v, cfg.alpha_grid, side="right")
 
@@ -180,7 +183,8 @@ def check_validity(cfg, f, kernel):
     ----------
     cfg : SimConfig
     f : callable
-        Increasing map [0,1] -> [0,1], vectorized over ndarrays.
+        Increasing map [0,1] -> [0,1], vectorized over ndarrays; a NaN
+        value is a `ValueError`.
     kernel : callable
         ``kernel(rng, size) -> (size, n)`` of conditionally i.i.d. p-values;
         another shape is a `ValueError`.  Each row of a writable result is

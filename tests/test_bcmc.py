@@ -310,6 +310,38 @@ class TestStackedStatistic:
         assert out[1].shape == (steps,)
         assert peaks[1] - peaks[0] <= 9 * steps
 
+    @pytest.mark.parametrize("dtype", [float, np.float32, np.int64])
+    def test_trace_written_run_by_run_equals_the_repeated_pieces(self, monkeypatch, dtype):
+        # a stack spanning more than _PIECE_STEPS steps is written one run
+        # at a time; with the limit at 0 every stack is
+        mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
+
+        def statistic(states):
+            return (checkerboard_score(states) * 7).astype(dtype)
+
+        cfg = ChainConfig(length=20_000, statistic=statistic, seed=6)
+        p, trace = serial_pvalue(mat, cfg, return_trace=True)
+        monkeypatch.setattr(bcmc, "_PIECE_STEPS", 0)
+        p_runs, trace_runs = serial_pvalue(mat, cfg, return_trace=True)
+        assert p_runs == p
+        assert trace_runs.tobytes() == trace.tobytes()
+
+    def test_traced_peak_of_a_chain_that_never_moves_per_step(self):
+        # the one-matrix class of [[1, 1], [0, 0]]: each half-chain is one
+        # stack whose single state lasts the whole half; built as an
+        # np.repeat piece before the copy, it showed as 11.8 bytes a step
+        steps = 2**18
+        peaks = []
+        for return_trace in (False, True):
+            tracemalloc.start()
+            try:
+                out = serial_pvalue([[1, 1], [0, 0]], ChainConfig(length=steps, seed=5), return_trace)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert out[0] == 1.0 and out[1].shape == (steps,)
+        assert peaks[1] - peaks[0] <= 9 * steps
+
 
 class TestChainPins:
     """Chain outputs recorded before the swap loop and the statistic were sped up."""
@@ -548,6 +580,24 @@ class TestSerialPvalue:
         mat = generate_null_matrix(*BLOCK_MARGINS, burn_in=100, seed=2)
         with pytest.raises(ValueError, match=f"statistic gave shape {shape}"):
             serial_pvalue(mat, ChainConfig(length=200, statistic=statistic, seed=3))
+
+    @pytest.mark.parametrize("where", ["everywhere", "observed", "elsewhere"])
+    @pytest.mark.parametrize("return_trace", [False, True])
+    def test_statistic_giving_nan_is_refused(self, where, return_trace):
+        # NaN >= observed is False, so a NaN state would pass for a less
+        # extreme one; a NaN observed value would give p = 1/N
+        mat = generate_null_matrix([4] * 12, [6] * 8, seed=1)
+        observed = mat.entries.tobytes()
+
+        def statistic(states):
+            values = checkerboard_score(states).astype(float)
+            at_observed = np.array([s.tobytes() == observed for s in states])
+            nan = {"everywhere": True, "observed": at_observed, "elsewhere": ~at_observed}[where]
+            return np.where(nan, np.nan, values)
+
+        expected = r"1 of 1 states" if where != "elsewhere" else r"[1-9]\d* of [1-9]\d* states"
+        with pytest.raises(ValueError, match=f"statistic gave NaN on {expected}"):
+            serial_pvalue(mat, ChainConfig(length=1000, statistic=statistic, seed=0), return_trace)
 
     def test_custom_statistic_receives_int8(self):
         seen = set()

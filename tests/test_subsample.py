@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderpv import subsample
 from orderpv.correction import solve_combiner
@@ -353,6 +355,34 @@ class TestRunPipeline:
         for alpha in (0.05, 0.1, 0.25):
             se = np.sqrt(alpha * (1 - alpha) / outer)
             assert (summaries <= alpha).mean() <= alpha + 3 * se
+
+
+@st.composite
+def samples_and_bins(draw):
+    """A sample in [0, 1] rich in ties and bin edges, and a bin count."""
+    bins = draw(st.sampled_from([1, 2, 3, 20, 1000]))
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    # the edges, 0.0 and 1.0 among them, j / bins, which may differ from the
+    # edge j * (1 / bins) by an ulp, and the floats on either side of each edge
+    on_edges = sorted({float(v) for v in np.concatenate([
+        edges, np.arange(bins + 1) / bins,
+        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])})
+    value = st.one_of(st.sampled_from(on_edges), st.floats(0.0, 1.0))
+    return np.array(draw(st.lists(value, min_size=1, max_size=60))), bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples_and_bins())
+def test_report_equals_numpy_exactly(sample_and_bins):
+    sample, bins = sample_and_bins
+    data = GroupedDataset([[0.0], [1.0]])
+    result = run_pipeline(data, lambda picks, rng: sample, n=sample.size, bins=bins)
+    counts, edges = np.histogram(sample, bins, range=(0.0, 1.0))
+    assert np.array_equal(result.sample, sample)
+    assert result.quartiles == tuple(map(float, np.quantile(sample, [0.25, 0.5, 0.75])))
+    assert result.maximum == sample.max()
+    assert result.bin_edges.dtype == edges.dtype and np.array_equal(result.bin_edges, edges)
+    assert result.bin_counts.dtype == counts.dtype and np.array_equal(result.bin_counts, counts)
 
 
 class TestBcmcBaseTest:

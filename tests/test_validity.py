@@ -360,6 +360,18 @@ class TestCheckValidity:
         with pytest.raises(ValueError, match=expected):
             check_validity(cfg, lambda u: u, kernel)
 
+    def test_rejects_nan_from_f(self):
+        # NaN <= alpha is False, so a NaN value would count as a valid one
+        cfg = SimConfig(n=4, k=2, reps=CHUNK + 100, seed=0)
+
+        def one_nan_in_second_block(u):
+            return np.where(np.arange(u.size) == 99, np.nan, u) if u.size == 100 else u
+
+        with pytest.raises(ValueError, match="f gave NaN on 1 of 100 values"):
+            check_validity(cfg, one_nan_in_second_block, uniform_kernel(4))
+        with pytest.raises(ValueError, match=f"f gave NaN on {CHUNK} of {CHUNK} values"):
+            check_validity(cfg, lambda u: np.full(u.size, np.nan), uniform_kernel(4))
+
     def test_read_only_kernel_result_is_copied(self):
         # a read-only matrix gives the writable one's report and is left as drawn
         n, k = 10, 5
