@@ -22,7 +22,6 @@ from .subsample import (
     make_bcmc_test,
     rank_sum_test,
     run_pipeline,
-    subsample_pvalues,
 )
 from .validity import (
     SimConfig,
@@ -30,7 +29,6 @@ from .validity import (
     adversarial_kernel,
     check_validity,
     tightness_scan,
-    uniform_kernel,
 )
 
 __version__ = "0.1.0"
@@ -59,8 +57,6 @@ __all__ = [
     "run_pipeline",
     "serial_pvalue",
     "solve_combiner",
-    "subsample_pvalues",
     "tail_ratio",
     "tightness_scan",
-    "uniform_kernel",
 ]

@@ -29,15 +29,9 @@ _STACK_BYTES = 2**15
 # Below this many rows the checkerboard overlap counts are exact in float32.
 _FLOAT32_EXACT_ROWS = 2**24
 # Longest chain whose trace `serial_pvalue` returns.  The trace is one
-# float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak.
+# float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak,
+# plus one piece of at most `_BLOCK` steps (64 KB) while a stack is written.
 MAX_TRACE_LENGTH = 2**24
-# Most steps of a stack whose trace values are built as one `np.repeat` piece
-# (128 KB) before they are copied into the trace; a stack spanning more steps,
-# as on a chain that seldom moves, writes each state's run as a slice
-# instead.  Slices cost about 0.4 us a state against 0.07 us in the piece
-# (2-core x86 host): on a 2x2 chain that moves at every step, writing all
-# stacks slice by slice made the traced chain about 60 % slower.
-_PIECE_STEPS = 2**14
 
 
 class BinaryMatrix:
@@ -104,12 +98,17 @@ def _advance(work, steps, rng, score=None):
     A state lasts until the next accepted swap, so the loop only appends a
     byte snapshot of each new state, and the step where it begins, to a
     stack, which goes to `score` when full (`_STACK_BYTES`; a larger state
-    goes alone) and at the end.  One numpy call costs several microseconds
-    whatever its size, and on a 40x20 chain about one step in ten is
-    accepted.  Scored one state at a time, the statistic took about 80 % of
-    such a chain's time; in stacks it takes about half: 10**4 steps took
-    2.1 ms without scoring, 2.7 ms with a statistic that costs nothing, and
-    5.9 ms with `checkerboard_score`.
+    goes alone) and at the end.  At the end of each index block but the
+    last, the stacked states that have ended go to `score` too, and the
+    current state carries over, with the step where it began, as the first
+    entry of a fresh stack.  So each state is scored once, only a stack's
+    first state can last beyond one block, and the runs after it add up to
+    at most `_BLOCK` steps, for at most one more call a block.  One numpy
+    call costs several microseconds whatever its size, and on a 40x20 chain
+    about one step in ten is accepted.  Scored one state at a time, the
+    statistic took about 80 % of such a chain's time; in stacks it takes
+    about half: 10**4 steps took 2.1 ms without scoring, 2.7 ms with a
+    statistic that costs nothing, and 5.9 ms with `checkerboard_score`.
     """
     if steps <= 0:
         return
@@ -148,6 +147,10 @@ def _advance(work, steps, rng, score=None):
                     stack += cells
                     starts.append(t)
         done += b
+        if stack is not None and done < steps and len(starts) > 1:
+            # hand on the states that have ended; the current one carries over
+            _score_stack(stack[:-len(cells)], starts[:-1], starts[-1], work.shape, score)
+            stack, starts = bytearray(cells), starts[-1:]
     if stack is not None:
         _score_stack(stack, starts, steps, work.shape, score)
     work[...] = np.frombuffer(cells, dtype=np.int8).reshape(r, c)
@@ -242,7 +245,10 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
     counts the runs of values >= the observed one.  The trace is one float64
     array of the chain's length: each stack's runs are written into it as
     they come, forward from position tau + 1 up and backward from tau - 1
-    down, so it holds 8 bytes a step and at most `_PIECE_STEPS` more.
+    down.  A stack's first run is written as one slice, as it may last for
+    many blocks on a chain that seldom moves, and the rest, at most `_BLOCK`
+    steps (see `_advance`), as one `np.repeat` piece: the trace holds 8 bytes
+    a step and at most 64 KB more.
     """
     _check_swappable(entries.shape)
     tau = int(rng.integers(1, length + 1))
@@ -264,14 +270,10 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
         count += int(runs[values >= observed].sum())
         if side is None:
             return
-        span = int(runs.sum())
-        if span <= _PIECE_STEPS:
-            side[filled:filled + span] = np.repeat(values, runs)
-            filled += span
-            return
-        for value, run in zip(values.tolist(), runs.tolist()):
-            side[filled:filled + run] = value
-            filled += run
+        first, span = int(runs[0]), int(runs.sum())
+        side[filled:filled + first] = values[0]
+        side[filled + first:filled + span] = np.repeat(values[1:], runs[1:])
+        filled += span
 
     observed = evaluate(entries[None])[0]
     count = 1  # t = tau

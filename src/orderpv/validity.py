@@ -168,7 +168,10 @@ def _tally_chunk(cfg, f, kernel, rng, size):
         raise ValueError(f"kernel returned shape {draws.shape}, expected {(size, cfg.n)}")
     draws.partition(cfg.k - 1, axis=1)
     u = draws[:, cfg.k - 1]
-    v = np.sort(np.asarray(f(u), dtype=float))
+    v = np.asarray(f(u), dtype=float)
+    if v.shape != u.shape:
+        raise ValueError(f"f gave shape {v.shape} for {u.size} values")
+    v = np.sort(v)
     # NaN sorts last and NaN <= alpha is False: it would pass as valid
     if v.size and np.isnan(v[-1]):
         raise ValueError(f"f gave NaN on {np.count_nonzero(np.isnan(v))} of {v.size} values")
@@ -183,8 +186,9 @@ def check_validity(cfg, f, kernel):
     ----------
     cfg : SimConfig
     f : callable
-        Increasing map [0,1] -> [0,1], vectorized over ndarrays; a NaN
-        value is a `ValueError`.
+        Increasing map [0,1] -> [0,1], vectorized over ndarrays: one value
+        per value, in the input's shape.  Another shape or a NaN value is a
+        `ValueError`.
     kernel : callable
         ``kernel(rng, size) -> (size, n)`` of conditionally i.i.d. p-values;
         another shape is a `ValueError`.  Each row of a writable result is

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orderpv import GroupedDataset, bcmc, make_bcmc_test, subsample_pvalues
+from orderpv import GroupedDataset, bcmc, make_bcmc_test
 from orderpv.bcmc import (
+    _BLOCK,
     _STACK_BYTES,
     BinaryMatrix,
     ChainConfig,
@@ -16,6 +17,7 @@ from orderpv.bcmc import (
     serial_pvalue,
 )
 from orderpv.rngs import stream
+from orderpv.subsample import subsample_pvalues
 
 from oracles import (
     advance_reference,
@@ -310,21 +312,40 @@ class TestStackedStatistic:
         assert out[1].shape == (steps,)
         assert peaks[1] - peaks[0] <= 9 * steps
 
-    @pytest.mark.parametrize("dtype", [float, np.float32, np.int64])
-    def test_trace_written_run_by_run_equals_the_repeated_pieces(self, monkeypatch, dtype):
-        # a stack spanning more than _PIECE_STEPS steps is written one run
-        # at a time; with the limit at 0 every stack is
-        mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
+    def test_only_the_first_state_of_a_stack_spans_blocks(self):
+        # at the end of each index block the states that have ended are
+        # handed on, and the current one opens the next stack; the 2x200
+        # matrix with one 1 per row moves about once in 20 000 steps
+        sparse = np.zeros((2, 200), dtype=np.int8)
+        sparse[0, 0] = sparse[1, 1] = 1
+        picker = np.random.default_rng(12)
+        shapes = [sparse]
+        for _ in range(20):
+            r, c = int(picker.integers(2, 9)), int(picker.integers(2, 60))
+            shapes.append(picker.random((r, c)) < picker.choice([0.03, 0.2, 0.5]))
+        for i, entries in enumerate(shapes):
+            work, handed = np.array(entries, dtype=np.int8), []
+            _advance(work, 60_000, np.random.default_rng(i), lambda states, runs: handed.append(runs))
+            assert sum(int(runs.sum()) for runs in handed) == 60_000, i
+            assert all(runs.min() > 0 and runs[1:].sum() <= _BLOCK for runs in handed), i
 
-        def statistic(states):
-            return (checkerboard_score(states) * 7).astype(dtype)
+    def test_trace_of_narrow_statistics_equals_the_cast_float64_trace(self):
+        # a permutation pattern in 3x120 moves about once in 7000 steps, so
+        # states last across blocks and open stacks; the chain's draws do
+        # not depend on the statistic
+        entries = np.zeros((3, 120), dtype=np.int8)
+        entries[[0, 1, 2], [0, 1, 2]] = 1
+        weights = np.random.default_rng(13).random(entries.shape)
 
-        cfg = ChainConfig(length=20_000, statistic=statistic, seed=6)
-        p, trace = serial_pvalue(mat, cfg, return_trace=True)
-        monkeypatch.setattr(bcmc, "_PIECE_STEPS", 0)
-        p_runs, trace_runs = serial_pvalue(mat, cfg, return_trace=True)
-        assert p_runs == p
-        assert trace_runs.tobytes() == trace.tobytes()
+        def trace(dtype):
+            def statistic(states):
+                return (7 * (states * weights).sum(axis=(1, 2))).astype(dtype)
+            return serial_pvalue(entries, ChainConfig(60_000, statistic, seed=6), True)[1]
+
+        wide = trace(float)
+        assert np.diff(np.flatnonzero(np.diff(wide))).max() > _BLOCK
+        for dtype in (np.float32, np.int64):
+            assert trace(dtype).tobytes() == wide.astype(dtype).astype(float).tobytes()
 
     def test_traced_peak_of_a_chain_that_never_moves_per_step(self):
         # the one-matrix class of [[1, 1], [0, 0]]: each half-chain is one

@@ -360,6 +360,18 @@ class TestCheckValidity:
         with pytest.raises(ValueError, match=expected):
             check_validity(cfg, lambda u: u, kernel)
 
+    @pytest.mark.parametrize("f, shape", [(lambda u: u[:u.size // 2], (50,)),
+                                          (lambda u: np.concatenate([u, u]), (200,)),
+                                          (lambda u: np.vstack([u, u]), (2, 100)),
+                                          (lambda u: u.mean(), ())],
+                             ids=["half", "doubled", "2-d", "scalar"])
+    def test_rejects_f_of_wrong_shape(self, f, shape):
+        # tallied as they came, a half-length map halved the CDF and a
+        # doubled one doubled it
+        cfg = SimConfig(n=4, k=2, reps=100, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"f gave shape {shape} for 100 values")):
+            check_validity(cfg, f, uniform_kernel(4))
+
     def test_rejects_nan_from_f(self):
         # NaN <= alpha is False, so a NaN value would count as a valid one
         cfg = SimConfig(n=4, k=2, reps=CHUNK + 100, seed=0)
