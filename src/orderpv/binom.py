@@ -8,44 +8,26 @@ is that order statistic's density.
 All functions accept a scalar or array ``p`` and return a matching float or
 ndarray.  ``n`` and ``k`` are scalars.
 
-`special` is scipy.special, loaded on its first attribute access: importing
-the package, and the serial chain, which needs no special function, never
-run its package init (about 0.2 s and 17 MB, mostly numpy.testing and
-numpy.f2py pulled in by its array-API layer).  The first tail, solve or
-inverse in a process pays that import.
+scipy.special is imported on the first tail, solve or inverse through
+`_special`, not by `import orderpv`: importing the package, and the serial
+chain, which needs no special function, never load scipy at all.  That
+import runs under the import lock, so threads that make their first call
+together all wait for one complete module.
 """
 
-import importlib.util
-import sys
+from functools import cache
 
 import numpy as np
 
 from .rngs import integral
 
 
-def _lazy_module(name):
-    """The module `name`, imported on its first attribute access.
+@cache
+def _special():
+    """scipy.special, imported on the first call and cached after it."""
+    import scipy.special
 
-    The standard `importlib.util.LazyLoader` recipe, kept to the import
-    system's rules: a module already in `sys.modules` is returned as it is,
-    and the new one goes into `sys.modules` and is bound on its parent
-    package, as an import would.  After the first access it is a plain
-    module, so attribute lookups cost what they always do.  That first
-    access is not thread-safe on Python 3.11; the package starts no threads.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
-    return module
-
-
-special = _lazy_module("scipy.special")
+    return scipy.special
 
 
 def _check_n(n, name="n"):
@@ -88,7 +70,7 @@ def binom_upper_tail(n, k, p):
     """
     n, k = _check_nk(n, k)
     parr = _check_p(p).ravel()
-    return _as_result(special.betainc(k, n - k + 1, parr), p)
+    return _as_result(_special().betainc(k, n - k + 1, parr), p)
 
 
 def binom_upper_tail_derivative(n, k, p):

@@ -13,8 +13,9 @@ bounded above by ``min(1, n*u/k)`` (so "twice the left sample median" is
 always a conservative summary) and below by that bound divided by
 ``1 + 5*k**(-1/3)``.
 
-The incomplete beta calls go through `binom.special`, scipy.special loaded
-on first use: the first solve, tail or inverse in a process pays its import.
+The incomplete beta calls go through `binom._special`, which imports
+scipy.special on its first call: the first solve, tail or inverse in a
+process pays that import, and concurrent first calls wait for it.
 """
 
 from dataclasses import dataclass
@@ -22,13 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .binom import (
-    _as_result,
-    _check_nk,
-    _check_p,
-    binom_upper_tail,
-    special,
-)
+from .binom import _as_result, _check_nk, _check_p, _special, binom_upper_tail
 
 DEFAULT_TOL = 1e-12
 
@@ -104,7 +99,8 @@ def _stationarity(p, n, k):
 
     two regularized incomplete beta calls and no binomial pmf.
     """
-    return (k - 1) * special.betainc(k, n - k + 1, p) - k * special.betainc(k + 1, n - k, p)
+    betainc = _special().betainc
+    return (k - 1) * betainc(k, n - k + 1, p) - k * betainc(k + 1, n - k, p)
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ class CombinerSpec:
         aarr = _check_p(alpha, "alpha").ravel()
         out = aarr / self.slope
         tail = aarr > self.slope * self.knee
-        out[tail] = special.betaincinv(self.k, self.n - self.k + 1, aarr[tail])
+        out[tail] = _special().betaincinv(self.k, self.n - self.k + 1, aarr[tail])
         return _as_result(np.clip(out, 0.0, 1.0), alpha)
 
 
@@ -191,13 +187,16 @@ def solve_combiner(n, k):
 def envelope(n, k, u):
     """Universal (lower, upper) bounds for the corrected value at u.
 
-    upper = min(1, n*u/k); lower = upper / (1 + 5*k**(-1/3)).  The corrected
-    value always lies between the two, so the upper bound is a valid, simple
-    stand-in for the exact correction.
+    upper = min(1, (n/k)*u); lower = upper / (1 + 5*k**(-1/3)).  The
+    corrected value always lies between the two, so the upper bound is a
+    valid, simple stand-in for the exact correction.  The upper bound is
+    ``(n / k) * u``, as in `CombineResult.bound`: at k = n the ratio is
+    exactly 1, so the bound is u itself, never 1 ulp below it as
+    ``n * u / k`` can be.
     """
     n, k = _check_nk(n, k)
     uarr = _check_p(u).ravel()
 
-    upper = np.minimum(1.0, n * uarr / k)
+    upper = np.minimum(1.0, (n / k) * uarr)
     lower = upper / (1.0 + 5.0 * k ** (-1.0 / 3.0))
     return _as_result(lower, u), _as_result(upper, u)

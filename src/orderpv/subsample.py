@@ -22,7 +22,7 @@ from math import comb, floor
 import numpy as np
 
 from .bcmc import _as_binary, _serial_pvalue_rng, checkerboard_score
-from .binom import _check_n
+from .binom import _check_n, _check_nk
 from .combine import CombineResult, combine_pvalues
 from .rngs import CHUNK, blocks
 
@@ -152,7 +152,8 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
 
     The histogram covers [0, 1] in `bins` equal cells and stands in for a
     figure; quartiles and the maximum summarize the subsample distribution.
-    More than `MAX_BINS` bins are refused before anything is drawn.
+    More than `MAX_BINS` bins, or a given k outside 1..n, are refused before
+    anything is drawn.
 
     One sort feeds every summary: the maximum is the last sorted value, the
     bin counts are differences of the sorted positions of the bin edges, and
@@ -163,6 +164,8 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
     bins = _check_n(bins, "bins")
     if bins > MAX_BINS:
         raise ValueError(f"at most MAX_BINS = {MAX_BINS} histogram bins are supported, got {bins}")
+    if k is not None:
+        _check_nk(n, k)
     sample = subsample_pvalues(data, test, n, seed)
     combined = combine_pvalues(sample, k)
     ordered = np.sort(sample)

@@ -144,10 +144,11 @@ def run_fresh(code):
 
 
 class TestLazySpecial:
-    """scipy.special loads on its first use; `_ufuncs` shows whether it ran.
+    """scipy.special is imported on its first use, through `binom._special`.
 
-    The lazy module itself sits in sys.modules from `import orderpv` on, so
-    the tests look for the extension module its package init imports.
+    `import orderpv` loads no scipy; the first tail, solve or inverse
+    imports scipy.special, whose package init loads the `_ufuncs` extension
+    module the tests look for.
     """
 
     def test_chain_path_leaves_special_unloaded(self, tmp_path):
@@ -159,9 +160,9 @@ class TestLazySpecial:
             "orderpv.serial_pvalue(m, orderpv.ChainConfig(length=500, seed=2)); "
             f"code = cli.main(['bcmc', {str(path)!r}, '--chain-length', '300', "
             f"'--trace-out', {str(trace)!r}]); "
-            "print(code, 'scipy.special._ufuncs' in sys.modules)"
+            "print(code, 'scipy.special._ufuncs' in sys.modules, 'scipy' in sys.modules)"
         )
-        assert run_fresh(code) == "0 False"
+        assert run_fresh(code) == "0 False False"
         assert len(trace.read_text().splitlines()) == 301
 
     def test_combine_loads_special_once(self):
@@ -169,7 +170,7 @@ class TestLazySpecial:
             "import sys; import numpy as np; import orderpv; "
             "r = orderpv.combine_pvalues(np.linspace(0.01, 0.99, 301)); "
             "print(r.summary, 'scipy.special._ufuncs' in sys.modules, "
-            "orderpv.binom.special is sys.modules['scipy.special'] is sys.modules['scipy'].special)"
+            "orderpv.binom._special() is sys.modules['scipy.special'] is sys.modules['scipy'].special)"
         )
         summary, loaded, same = run_fresh(code).split()
         assert float(summary) == orderpv.combine_pvalues(np.linspace(0.01, 0.99, 301)).summary
@@ -178,7 +179,7 @@ class TestLazySpecial:
     def test_special_imported_first_is_reused(self):
         code = (
             "import sys; import scipy.special; import orderpv; "
-            "print(orderpv.binom.special is scipy.special is sys.modules['scipy.special'])"
+            "print(orderpv.binom._special() is scipy.special is sys.modules['scipy.special'])"
         )
         assert run_fresh(code) == "True"
 
@@ -191,3 +192,30 @@ class TestLazySpecial:
         spec = orderpv.CombinerSpec(10, 5, 0.5, 1.5)
         assert float(run_fresh(code)) == spec.invert(0.9)
         assert spec.apply(spec.invert(0.9)) == pytest.approx(0.9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "first_use",
+        [
+            "orderpv.combine_pvalues(np.linspace(0.01, 0.99, 301)).summary",
+            "orderpv.CombinerSpec(10, 5, 0.5, 1.5).invert(0.9)",
+        ],
+    )
+    def test_concurrent_first_use(self, first_use):
+        # 8 threads released together make the process's first scipy.special
+        # call; each must wait for the whole module, not read a half-built
+        # one.  A 1-us switch interval interleaves them as tightly as it can.
+        code = (
+            "import sys, threading; import numpy as np; import orderpv; "
+            "sys.setswitchinterval(1e-6); "
+            "barrier = threading.Barrier(8); results = []\n"
+            "def run():\n"
+            "    barrier.wait()\n"
+            f"    try: results.append(repr({first_use}))\n"
+            "    except Exception as exc: results.append(repr(exc))\n"
+            "threads = [threading.Thread(target=run) for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+            "print(' '.join(results))"
+        )
+        expected = repr(eval(first_use, {"np": np, "orderpv": orderpv}))
+        assert run_fresh(code).split(" ") == [expected] * 8

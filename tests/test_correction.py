@@ -271,6 +271,21 @@ class TestEnvelope:
         assert upper == 0.5
         assert spec.apply(0.5) == pytest.approx(0.5, abs=1e-15)
 
+    def test_upper_bound_never_below_identity_at_k_equal_n(self):
+        # n * u / k rounds 1 ulp below u here; (n / k) * u is u exactly
+        assert envelope(40, 40, 4.198044657764164e-07)[1] == 4.198044657764164e-07
+        u = np.linspace(0.0, 1.0, 200)
+        for n in range(1, 101):
+            lower, upper = envelope(n, n, u)
+            f = solve_combiner(n, n).apply(u)
+            assert np.all(lower <= f) and np.all(f <= upper)
+
+    def test_upper_bound_is_the_combined_bound(self):
+        rng = np.random.default_rng(4)
+        for n, k in ((40, 40), (10, 3), (1000, 500), (7, 1)):
+            res = orderpv.combine_pvalues(rng.uniform(size=n), k)
+            assert res.bound == envelope(res.n, res.k, res.order_stat)[1]
+
 
 def test_solver_cache_returns_same_object():
     assert solve_combiner(12, 5) is solve_combiner(12, 5)

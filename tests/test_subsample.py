@@ -217,6 +217,16 @@ class TestSubsamplePvalues:
         assert result.bin_counts.size == MAX_BINS and result.bin_counts.sum() == 10
         assert run_pipeline(data, constant_test(0.5), 10, seed=0, bins=2.0).bin_counts.size == 2
 
+    def test_k_is_checked_before_drawing(self):
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        data = GroupedDataset([[1, 2], [3]])
+        for k in (11, 0, 2.5):
+            with pytest.raises(ValueError, match=rf"k must be an integer in \[1, 10\], got {k!r}"):
+                run_pipeline(data, never_called, 10, k=k, seed=0)
+        assert run_pipeline(data, constant_test(0.5), 10, k=10, seed=0).combined.k == 10
+
     def test_blocks_are_chunks_on_keyed_streams(self):
         for total in (1, CHUNK, CHUNK + 1, 3 * CHUNK - 5):
             layout = list(blocks(7, total))
