@@ -8,15 +8,14 @@ they scatter uniformly above t.  That family attains equality in the validity
 bound, so it both certifies the exact correction and convicts anything
 smaller.
 
-Kernels are callables ``kernel(rng, size) -> (size, n) array``.  Replications
-run serially in the fixed-size blocks of `rngs.blocks`, each on its own
-counter-derived stream, and the per-block tallies are summed, so a report
-depends only on the plan.  A block holds one (size, n) draw matrix and a
-fixed scratch: `adversarial_kernel` writes its atom into its uniform
-matrix in cache-sized pieces without a data-dependent branch,
-`check_validity` selects the k-th smallest value by reordering each row of
-the kernel's array in place (a read-only array is copied first), and
-`SimConfig` refuses a plan whose block would hold more than
+Kernels are callables ``kernel(rng, size) -> (size,) array``: each value is
+the k-th smallest of n conditionally i.i.d. p-values of one replication.
+`adversarial_kernel` draws it from its closed law at O(1) cost per
+replication, whatever n; `uniform_kernel` draws the n uniforms and selects
+the k-th.  Replications run serially in the fixed-size blocks of
+`rngs.blocks`, each on its own counter-derived stream, and the per-block
+tallies are summed, so a report depends only on the plan.  `SimConfig`
+refuses a plan whose block of n uniforms per row would hold more than
 `MAX_CHUNK_VALUES` draws.
 """
 
@@ -25,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binom import _check_n, _check_nk, _check_p
+from .combine import default_k
 from .correction import solve_combiner
 from .rngs import CHUNK, blocks, check_seed
 
@@ -34,16 +34,9 @@ DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 # grid this keeps the false-alarm rate per report at the percent level.
 SIGMA_RULE = 3.0
 
-# Most values of one piece of the atom write in `adversarial_kernel`.  Each
-# numpy call costs about a microsecond whatever its size, and the piece's
-# mask is the kernel's only scratch (one byte a value).  On one 16384 x 10
-# block at the knee (2-core x86 host, 2 MiB L2 a core) the write took
-# 0.56-0.65 ms in pieces of 2**13 values, 0.41-0.48 ms in pieces of 2**15,
-# and 0.41-0.44 ms over the whole matrix with a mask of 160 KiB.
-_PIECE_VALUES = 2**15
-
-# Draws one block may hold: 2**27 float64 values are 1 GiB.  The block is
-# min(reps, CHUNK) rows of n values, so at full blocks n is at most 8192.
+# Draws one block of `uniform_kernel` may hold: 2**27 float64 values are
+# 1 GiB.  The block is min(reps, CHUNK) rows of n values, so at full blocks
+# n is at most 8192.  The plan alone is checked, whatever the kernel.
 MAX_CHUNK_VALUES = 2**27
 
 
@@ -106,68 +99,60 @@ class SimReport:
             yield float(a), float(e), float(s), v
 
 
-def adversarial_kernel(n, t):
-    """Worst-case kernel at atom weight t: (rng, size) -> (size, n).
+def adversarial_kernel(n, t, k=None):
+    """Worst-case kernel at atom weight t: (rng, size) -> (size,) k-th smallest values.
 
-    Each row draws a shared x uniform on [0,1]; each of its n values
-    independently equals x*t with probability t, else is uniform on [t, 1].
-    One uniform u per value does both: u < t picks the atom, and otherwise
-    u itself is uniform on [t, 1].  The atom is written into the uniform
-    matrix, which is returned as the one (size, n) array of the block.
+    Each replication has n values that share an x uniform on [0, 1]; each
+    value independently equals x*t with probability t, else is uniform on
+    [t, 1].  Its k-th smallest value U_(k) is drawn directly: A ~ Bin(n, t)
+    values sit on the atom, so U_(k) = x*t if A >= k, and otherwise the
+    (k-A)-th smallest of n-A uniforms on [t, 1], t + (1-t) * Beta(k-A, n-k+1).
+    A call draws one binomial and one uniform per replication and one beta
+    per replication with A < k, so its cost and memory do not depend on n.
 
-    The write has no data-dependent branch, so its cost does not depend
-    on t.  On pieces of at most `_PIECE_VALUES` values it multiplies u by
-    the mask u >= t and raises the result to its row's x*t with an
-    elementwise maximum: a value u < t becomes x*t, and u >= t > x*t stays.
-    A masked copy (`np.copyto(u, x*t, where=u < t)`) mispredicts a branch
-    on about min(t, 1 - t) of the values: on one 16384 x 10 block it wrote
-    in 0.19-0.23 ms at t = 0, 1.1-1.3 ms at t = 0.3, 1.25-1.47 ms at the
-    knee 0.628 and 0.33-0.57 ms at t = 0.99, where the branch-free write
-    took 0.33-0.51 ms at every t.  `n` must be an integer >= 1.
+    `n` must be an integer >= 1; `k` defaults to `default_k(n)`.
     """
     n = _check_n(n)
+    k = default_k(n) if k is None else _check_nk(n, k)[1]
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    t = float(t) + 0.0  # t = -0.0 gives atoms -0.0, and np.maximum(+0.0, -0.0) is -0.0
-    rows, cols = max(1, _PIECE_VALUES // n), min(n, _PIECE_VALUES)
+    t = float(t)
 
     def kernel(rng, size):
-        x = rng.random(size)
-        u = rng.random((size, n))
-        np.multiply(x, t, out=x)
-        atoms = x[:, None]
-        kept = np.empty(rows * cols, dtype=bool)
-        for r in range(0, size, rows):
-            for c in range(0, n, cols):
-                piece = u[r:r + rows, c:c + cols]
-                keep = kept[:piece.size].reshape(piece.shape)
-                np.greater_equal(piece, t, out=keep)
-                piece *= keep
-                np.maximum(piece, atoms[r:r + rows], out=piece)
+        atoms = rng.binomial(n, t, size)
+        u = rng.random(size)
+        u *= t
+        free = np.flatnonzero(atoms < k)
+        u[free] = t + (1.0 - t) * rng.beta(k - atoms[free], n - k + 1)
         return u
 
+    kernel.nk = (n, k)
     return kernel
 
 
-def uniform_kernel(n):
-    """Kernel drawing n i.i.d. uniforms (the no-dependence base case).
+def uniform_kernel(n, k=None):
+    """Kernel of the k-th smallest of n i.i.d. uniforms (the no-dependence base case).
 
-    `n` must be an integer >= 1.
+    Each call draws a (size, n) matrix and reorders its rows in place to
+    select the k-th smallest value.  `n` must be an integer >= 1; `k`
+    defaults to `default_k(n)`.
     """
     n = _check_n(n)
+    k = default_k(n) if k is None else _check_nk(n, k)[1]
 
     def kernel(rng, size):
-        return rng.random((size, n))
+        draws = rng.random((size, n))
+        draws.partition(k - 1, axis=1)
+        return draws[:, k - 1]
 
+    kernel.nk = (n, k)
     return kernel
 
 
 def _tally_chunk(cfg, f, kernel, rng, size):
-    draws = np.require(kernel(rng, size), requirements="W")
-    if draws.shape != (size, cfg.n):
-        raise ValueError(f"kernel returned shape {draws.shape}, expected {(size, cfg.n)}")
-    draws.partition(cfg.k - 1, axis=1)
-    u = draws[:, cfg.k - 1]
+    u = np.asarray(kernel(rng, size))
+    if u.shape != (size,):
+        raise ValueError(f"kernel returned shape {u.shape}, expected {(size,)}")
     v = np.asarray(f(u), dtype=float)
     if v.shape != u.shape:
         raise ValueError(f"f gave shape {v.shape} for {u.size} values")
@@ -190,17 +175,22 @@ def check_validity(cfg, f, kernel):
         per value, in the input's shape.  Another shape or a NaN value is a
         `ValueError`.
     kernel : callable
-        ``kernel(rng, size) -> (size, n)`` of conditionally i.i.d. p-values;
-        another shape is a `ValueError`.  Each row of a writable result is
-        reordered in place to select its k-th smallest value, so a kernel
-        returns a new array per call; a read-only one is copied instead.
-        It is called once per block of `rngs.blocks`, one block at a time.
+        ``kernel(rng, size) -> (size,)``: the k-th smallest of n
+        conditionally i.i.d. p-values, one per replication; another shape
+        is a `ValueError`.  A kernel that records its ``nk = (n, k)``, as
+        `adversarial_kernel` and `uniform_kernel` do, must match cfg's, or
+        it is a `ValueError`; a kernel that records none is trusted.  It is
+        called once per block of `rngs.blocks`, one block at a time.
 
     Returns
     -------
     SimReport
         Violation is declared where empirical_cdf > alpha + 3 * std_err.
     """
+    nk = getattr(kernel, "nk", None)
+    if nk is not None and nk != (cfg.n, cfg.k):
+        raise ValueError(f"kernel draws the k-th of n at (n, k) = {nk}, "
+                         f"but cfg has (n, k) = {(cfg.n, cfg.k)}")
     counts = sum(_tally_chunk(cfg, f, kernel, rng, length)
                  for _, length, rng in blocks(cfg.seed, cfg.reps))
 
@@ -232,4 +222,4 @@ def tightness_scan(n, k, shrink, reps, seed):
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
     cfg = SimConfig(n=n, k=k, reps=reps, seed=seed)
     spec = solve_combiner(n, k)
-    return check_validity(cfg, lambda u: shrink * spec.apply(u), adversarial_kernel(n, spec.knee))
+    return check_validity(cfg, lambda u: shrink * spec.apply(u), adversarial_kernel(n, spec.knee, k))

@@ -128,7 +128,7 @@ def test_criterion_08_order_statistic_identity():
         q = float(rng.uniform(0.05, 0.95))
         reps = 100_000
         cfg = SimConfig(n, k, reps, 900 + i, alpha_grid=np.array([q]))
-        report = check_validity(cfg, lambda u: u, uniform_kernel(n))
+        report = check_validity(cfg, lambda u: u, uniform_kernel(n, k))
         empirical = report.empirical_cdf[0]
         expected = binom_upper_tail(n, k, q)
         if empirical != expected:  # a tail of exactly 0 or 1 has no spread

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from orderpv import validity
 from orderpv.binom import binom_upper_tail
@@ -20,18 +20,6 @@ from orderpv.validity import (
 )
 
 from oracles import adversarial_kernel_where, worst_case_orderstat_cdf
-
-
-class FixedDraws:
-    """A generator stub: `random(shape)` returns a copy of the next given array."""
-
-    def __init__(self, *arrays):
-        self.arrays = list(arrays)
-
-    def random(self, shape):
-        out = np.array(self.arrays.pop(0), dtype=float)
-        assert out.shape == np.broadcast_shapes(shape)
-        return out
 
 
 class TestSimConfig:
@@ -86,82 +74,119 @@ class TestSimConfig:
                 SimConfig(n=n, k=1, reps=reps, seed=0)
 
 
+def _replayed(n, k, t, seed, size):
+    """The worst-case k-th value rebuilt from the declared stream layout.
+
+    One binomial atom count and one uniform x per replication, then one beta
+    per replication with fewer than k atoms, in that order.
+    """
+    rng = np.random.default_rng(seed)
+    atoms = rng.binomial(n, t, size)
+    out = rng.random(size) * t
+    free = atoms < k
+    out[free] = t + (1.0 - t) * rng.beta(k - atoms[free], n - k + 1)
+    return out
+
+
+def _exact_orderstat_cdf(n, k, t, q):
+    """P(U_(k) <= q) at atom weight t; at t = 0 the k-th of n uniforms' binomial tail."""
+    if t == 0.0:
+        return stats.binom.sf(k - 1, n, q)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return worst_case_orderstat_cdf(n, k, t, q)
+
+
 class TestAdversarialKernel:
     def test_degenerate_weights(self):
-        rng = np.random.default_rng(0)
+        # t = 0: no atom, the k-th of n uniforms is one Beta(k, n-k+1) draw;
+        # t = 1: every value of a replication is its atom x, so the k-th is x
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
         free = adversarial_kernel(6, 0.0)(rng, 5)
-        assert free.shape == (5, 6) and np.all((free >= 0) & (free <= 1))
+        ref.random(5)  # x; the binomial draws nothing at t = 0
+        assert free.shape == (5,) and np.array_equal(free, ref.beta(3, 4, 5))
         pinned = adversarial_kernel(6, 1.0)(rng, 5)
-        assert np.all(pinned == pinned[:, :1])
+        ref.binomial(6, 1.0, 5)  # A = n: every value is on the atom
+        assert np.array_equal(pinned, ref.random(5))
 
     def test_kernel_matches_draw_shape(self):
-        kern = adversarial_kernel(4, 0.3)
-        out = kern(np.random.default_rng(1), 11)
-        assert out.shape == (11, 4)
-        assert np.all((out >= 0) & (out <= 1))
+        for k in (None, 1, 2, 4):
+            kern = adversarial_kernel(4, 0.3, k)
+            out = kern(np.random.default_rng(1), 11)
+            assert out.shape == (11,) and out.dtype == np.float64
+            assert np.all((out >= 0) & (out <= 1))
+            assert kern.nk == (4, 2 if k is None else k)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     def test_marginal_is_uniform(self, alpha):
-        # first coordinate across draws follows the one-sample marginal
-        kern = adversarial_kernel(3, 0.4)
-        first = kern(np.random.default_rng(99), 100_000)[:, 0]
-        emp = (first <= alpha).mean()
-        se = np.sqrt(alpha * (1 - alpha) / first.size)
-        assert abs(emp - alpha) <= 3 * se
+        # a value drawn at random from a replication follows the one-sample
+        # marginal, and P(U_(k) <= alpha) averaged over k = 1..n is its CDF
+        n, reps = 3, 100_000
+        emp = np.array([(adversarial_kernel(n, 0.4, k)(np.random.default_rng(99 + k), reps)
+                         <= alpha).mean() for k in range(1, n + 1)])
+        se = np.sqrt(np.sum(emp * (1 - emp)) / reps) / n
+        assert abs(emp.mean() - alpha) <= 3 * se
 
     @pytest.mark.parametrize("n,t,seed", [(1, 0.5, 0), (10, None, 1), (10, 0.0, 2), (10, 1.0, 3),
-                                          (37, 0.3, 4), (100, None, 5),
-                                          (validity._PIECE_VALUES + 3, 0.5, 6)])
+                                          (37, 0.3, 4), (100, None, 5), (32771, 0.5, 6)])
     def test_equals_where_oracle_bit_for_bit(self, n, t, seed):
-        # the atom written into the draws: same values, same stream consumed,
-        # also when the last piece has fewer rows or a row spans two pieces
+        # the sampled k-th value against the partitioned k-th value of
+        # `oracles.adversarial_kernel_where`, which draws all n values: a
+        # two-sample Kolmogorov-Smirnov test at the 3-sigma level
+        k = (n + 1) // 2
         if t is None:
-            t = solve_combiner(n, n // 2).knee
-        rows = max(1, validity._PIECE_VALUES // n)
-        sizes = (1, 2, 5) if rows == 1 else (1, rows - 1, rows + 1, 1000, CHUNK + 3)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for size in sizes:
-            out = adversarial_kernel(n, t)(rng, size)
-            ref = adversarial_kernel_where(n, t)(ref_rng, size)
-            assert out.shape == ref.shape == (size, n) and out.dtype == ref.dtype
-            assert out.tobytes() == ref.tobytes()
-        assert rng.random() == ref_rng.random()
+            t = solve_combiner(n, k).knee
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1000)
+        kern, ref = adversarial_kernel(n, t), adversarial_kernel_where(n, t)
+        for size in (1, 2, 5, CHUNK + 3):
+            assert kern(rng, size).shape == (size,)
+        sampled = kern(rng, 20_000)
+        reps = 20_000 if n <= 100 else 2_000
+        rows = max(1, 2**20 // n)  # at most 8 MiB of oracle draws at a time
+        oracle = np.concatenate([
+            np.partition(ref(ref_rng, min(rows, reps - i)), k - 1, axis=1)[:, k - 1]
+            for i in range(0, reps, rows)])
+        assert stats.ks_2samp(sampled, oracle).pvalue > 0.0027
 
     @pytest.mark.parametrize("t", [0.0, -0.0, 2.0**-1074, 0.25, 0.628, 1.0])
-    @pytest.mark.parametrize("n", [3, validity._PIECE_VALUES + 3])
+    @pytest.mark.parametrize("n", [3, 32771])
     def test_edge_draws_equal_where_oracle(self, n, t):
-        # u == t is not an atom; u = 0, x = 0 and the largest draw are exact
-        top = 1.0 - 2.0**-53  # the largest value `random` returns
-        near = [0.0, 2.0**-1074, t, np.nextafter(t, 0.0), np.nextafter(t, 1.0), 0.5 * t, top]
-        u = np.resize(np.minimum(np.abs(near), top), (4, n))
-        x = np.array([0.0, 2.0**-1074, 0.5, top])
-        out = adversarial_kernel(n, t)(FixedDraws(x, u), 4)
-        ref = adversarial_kernel_where(n, t)(FixedDraws(x, u), 4)
-        assert out.tobytes() == ref.tobytes()
-        if t < 1.0:
-            assert np.any(u == t) and np.any(out == t)
+        # values lie in [0, 1] with no -0.0, one seed gives the same bytes
+        # twice, and the stream is consumed in the declared layout
+        k = (n + 1) // 2
+        kern = adversarial_kernel(n, t)
+        out = kern(np.random.default_rng(n), 5000)
+        assert out.dtype == np.float64 and np.all((out >= 0.0) & (out <= 1.0))
+        assert not np.any(np.signbit(out))
+        assert out.tobytes() == kern(np.random.default_rng(n), 5000).tobytes()
+        assert np.array_equal(out, _replayed(n, k, t, n, 5000))
 
-    @pytest.mark.parametrize("factory", [lambda n: adversarial_kernel(n, 0.5), uniform_kernel],
-                             ids=["adversarial", "uniform"])
+    @pytest.mark.parametrize("factory", [lambda n, k=None: adversarial_kernel(n, 0.5, k),
+                                         uniform_kernel], ids=["adversarial", "uniform"])
     def test_factories_check_n(self, factory):
         for n in (0, -1, 2.5, float("nan")):
             with pytest.raises(ValueError, match="n must be an integer >= 1"):
                 factory(n)
+        for k in (0, 11, 2.5, float("nan")):
+            with pytest.raises(ValueError, match=r"k must be an integer in \[1, 10\]"):
+                factory(10, k)
         for n in (10.0, np.int64(10)):
-            assert factory(n)(np.random.default_rng(0), 3).shape == (3, 10)
+            kern = factory(n)
+            assert kern(np.random.default_rng(0), 3).shape == (3,)
+            assert kern.nk == (10, 5) and type(kern.nk[0]) is int
+        assert factory(10, np.int64(3)).nk == (10, 3)
 
-    @pytest.mark.parametrize("n,size", [(2**16, 2), (10, CHUNK)])
+    @pytest.mark.parametrize("n,size", [(2**16, 2), (10, CHUNK), (2**16, CHUNK)])
     def test_scratch_is_bounded(self, n, size):
-        # beside its (size, n) matrix and x the kernel keeps one piece's mask
+        # one call keeps a few numbers per replication, whatever n
         kern = adversarial_kernel(n, 0.5)
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            out = kern(rng, size)
+            kern(rng, size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < out.nbytes + 8 * size + 128 * 1024, peak - out.nbytes - 8 * size
+        assert peak < 48 * size + 16 * 1024, peak / size
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
@@ -169,21 +194,29 @@ class TestAdversarialKernel:
         with pytest.raises(ValueError):
             adversarial_kernel(3, -0.1)
 
-    @pytest.mark.parametrize("n,k,t,seed", [(10, 5, None, 17), (10, 5, 0.2, 18), (20, 3, None, 19)])
+    @pytest.mark.parametrize("n,k,t,seed", [
+        (*case, {(10, 5, None): 17, (10, 5, 0.2): 18, (20, 3, None): 19}.get(case, 20 + i))
+        for i, case in enumerate((n, k, t) for n, k in [(1, 1), (10, 5), (20, 3), (10**5, 5 * 10**4)]
+                                 for t in [0.0, -0.0, 2.0**-1074, 0.2, None, 1.0])])
     def test_orderstat_matches_exact_cdf(self, n, k, t, seed):
-        # z-test of the k-th order statistic's CDF against the exact mixture,
-        # mostly beyond the atom region, where non-atom values must be
-        # uniform on [t, 1]
+        # z-test of the sampled k-th value's CDF against the exact mixture, at
+        # the deciles 1, 5 and 9 of an independent pilot sample and, when
+        # there is an atom region, at half the atom weight; t = None is the knee
         if t is None:
             t = solve_combiner(n, k).knee
         reps = 200_000
-        draws = adversarial_kernel(n, t)(np.random.default_rng(seed), reps)
-        u = np.sort(np.partition(draws, k - 1, axis=1)[:, k - 1])
-        q = np.array([0.5 * t, 0.9 * t, t + 0.01, t + 0.05, t + 0.2 * (1 - t), t + 0.5 * (1 - t)])
-        expected = worst_case_orderstat_cdf(n, k, t, q)
+        kern = adversarial_kernel(n, t, k)
+        pilot = kern(np.random.default_rng(seed + 10_000), 1000)
+        q = np.quantile(pilot, [0.1, 0.5, 0.9])
+        if 0.0 < t < 1.0:
+            q = np.append(q, 0.5 * t)
+        u = np.sort(kern(np.random.default_rng(seed), reps))
+        expected = _exact_orderstat_cdf(n, k, t, q)
         empirical = np.searchsorted(u, q, side="right") / reps
-        z = (empirical - expected) / np.sqrt(expected * (1 - expected) / reps)
+        spread = np.sqrt(expected * (1 - expected) / reps)
+        z = np.divide(empirical - expected, spread, out=np.zeros_like(q), where=spread > 0)
         assert np.all(np.abs(z) <= 3.0), z
+        assert np.all(empirical[spread == 0] == expected[spread == 0])
 
 
 def _inverse_correction(spec, alpha):
@@ -266,27 +299,27 @@ class TestCheckValidity:
         assert one.verdict == again.verdict
 
     # Hit counts on the default grid against the worst-case kernel at the
-    # knee, recorded with the two-draw kernel (a separate uniform for the
-    # atom choice and for the scattered values).  A hit at alpha <=
-    # slope * knee depends only on x and the atom pattern, and every grid
-    # point lies below slope * knee here, so the one-draw kernel must
-    # reproduce these counts exactly.
+    # knee, recorded with the direct sampler of the k-th value (one binomial
+    # atom count, one uniform x, and a beta for each replication with fewer
+    # than k atoms).  Every grid point lies below slope * knee, where the
+    # exact CDF is alpha; every count is within 2.3 standard errors of
+    # alpha * reps.
     RECORDED_HITS = {
         (10, 5, 100_000): {
-            0: [2510, 4979, 7462, 9973, 12506, 15107, 17590, 20000, 22593, 25150,
-                27584, 30056, 32585, 35098, 37601, 40164, 42658, 45153, 47639, 50124],
-            1: [2537, 4997, 7513, 9933, 12514, 15023, 17525, 20006, 22554, 25016,
-                27521, 29959, 32563, 35094, 37573, 40138, 42583, 45105, 47638, 50115],
-            2: [2530, 4999, 7537, 10067, 12569, 15002, 17554, 20021, 22575, 25017,
-                27615, 30204, 32576, 35022, 37529, 40104, 42560, 45092, 47622, 50009],
+            0: [2556, 4956, 7437, 9948, 12394, 14906, 17426, 19918, 22444, 24958,
+                27509, 30034, 32495, 35006, 37571, 40131, 42619, 45174, 47635, 50129],
+            1: [2474, 4989, 7571, 10128, 12597, 15086, 17622, 20061, 22532, 24985,
+                27428, 29952, 32454, 34938, 37353, 39900, 42456, 44994, 47501, 49989],
+            2: [2489, 5027, 7467, 9935, 12446, 14929, 17473, 19900, 22453, 24987,
+                27480, 29909, 32378, 34845, 37282, 39765, 42247, 44833, 47331, 49839],
         },
         (1000, 500, 4096): {
-            0: [113, 218, 335, 431, 526, 631, 727, 820, 917, 1016,
-                1113, 1206, 1316, 1409, 1516, 1638, 1734, 1841, 1931, 2018],
-            1: [98, 205, 319, 415, 535, 623, 723, 841, 941, 1026,
-                1120, 1241, 1345, 1468, 1579, 1679, 1805, 1901, 1996, 2085],
-            2: [106, 210, 314, 419, 536, 648, 751, 857, 953, 1034,
-                1144, 1252, 1349, 1443, 1531, 1630, 1733, 1842, 1943, 2053],
+            0: [93, 201, 293, 374, 469, 587, 673, 762, 866, 965,
+                1069, 1173, 1277, 1381, 1514, 1613, 1710, 1810, 1910, 2026],
+            1: [113, 216, 315, 416, 511, 620, 733, 853, 947, 1043,
+                1149, 1246, 1353, 1437, 1546, 1637, 1724, 1844, 1955, 2056],
+            2: [89, 192, 296, 411, 511, 620, 717, 830, 925, 1016,
+                1138, 1246, 1352, 1452, 1561, 1668, 1775, 1887, 1988, 2084],
         },
     }
 
@@ -313,7 +346,7 @@ class TestCheckValidity:
 
         def kernel(rng, size):
             seen.append(len(pulled))
-            return rng.random((size, 2))
+            return rng.random(size)
 
         monkeypatch.setattr(validity, "blocks", counting_blocks)
         report = check_validity(SimConfig(n=2, k=1, reps=5 * CHUNK, seed=3), lambda u: u, kernel)
@@ -330,35 +363,55 @@ class TestCheckValidity:
             check_validity(cfg, lambda u: u, uniform_kernel(4), threads=threads)
 
     def test_one_draw_matrix_per_block(self):
-        # the kernel's matrix is the block's only (CHUNK, n) array: the atom
-        # is written into it and the k-th value is selected in place
-        n, k = 100, 50
-        spec = solve_combiner(n, k)
-        cfg = SimConfig(n=n, k=k, reps=2 * CHUNK, seed=8)
-        kern = adversarial_kernel(n, spec.knee)
-        tracemalloc.start()
-        try:
-            one = check_validity(cfg, spec.apply, kern)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * CHUNK * n * 8, peak / (CHUNK * n * 8)
-        two = check_validity(cfg, spec.apply, kern)
-        assert np.array_equal(one.empirical_cdf, two.empirical_cdf)
+        # only `uniform_kernel` draws a (CHUNK, n) matrix, the block's only
+        # one; the worst case keeps a few numbers a replication, whatever n
+        for n, kind in ((100, "uniform"), (100, "worst-case"), (8192, "worst-case")):
+            spec = solve_combiner(n, n // 2)
+            cfg = SimConfig(n=n, k=n // 2, reps=2 * CHUNK, seed=8)
+            kern = uniform_kernel(n) if kind == "uniform" else adversarial_kernel(n, spec.knee)
+            tracemalloc.start()
+            try:
+                one = check_validity(cfg, spec.apply, kern)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = 1.5 * CHUNK * n * 8 if kind == "uniform" else 48 * CHUNK + 64 * 1024
+            assert peak < bound, (n, kind, peak / CHUNK)
+            two = check_validity(cfg, spec.apply, kern)
+            assert np.array_equal(one.empirical_cdf, two.empirical_cdf)
 
-    @pytest.mark.parametrize("shape", [lambda size: (size, 3), lambda size: (size, 5),
-                                       lambda size: (size,), lambda size: (size - 1, 4),
-                                       lambda size: (4, size)],
-                             ids=["narrow", "wide", "flat", "short", "transposed"])
+    @pytest.mark.parametrize("shape", [lambda size: (size, 1), lambda size: (size, 5),
+                                       lambda size: (4 * size,), lambda size: (size - 1,),
+                                       lambda size: (1, size), lambda size: (size, 4)],
+                             ids=["narrow", "wide", "flat", "short", "transposed", "matrix"])
     def test_rejects_kernel_of_wrong_shape(self, shape):
+        # "matrix" is the (size, n) array kernels returned before they
+        # selected the k-th value themselves
         cfg = SimConfig(n=4, k=2, reps=100, seed=0)
 
         def kernel(rng, size):
             return rng.random(shape(size))
 
-        expected = f"kernel returned shape {re.escape(str(shape(100)))}, expected \\(100, 4\\)"
+        expected = f"kernel returned shape {re.escape(str(shape(100)))}, expected \\(100,\\)"
         with pytest.raises(ValueError, match=expected):
             check_validity(cfg, lambda u: u, kernel)
+
+    @pytest.mark.parametrize("kernel, k", [(uniform_kernel(5), 2), (adversarial_kernel(5, 0.5, 2), 2),
+                                           (uniform_kernel(4, 3), 2), (adversarial_kernel(4, 0.5), 1)],
+                             ids=["uniform-n", "worst-case-n", "uniform-k", "worst-case-k"])
+    def test_rejects_kernel_of_other_plan(self, kernel, k):
+        # a (size,) result cannot show a wrong n by its shape, and a
+        # defaulted k can differ from the plan's: both are refused by name
+        cfg = SimConfig(n=4, k=k, reps=100, seed=0)
+        expected = f"kernel draws the k-th of n at (n, k) = {kernel.nk}, but cfg has (n, k) = (4, {k})"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            check_validity(cfg, lambda u: u, kernel)
+
+    def test_trusts_kernel_that_records_no_plan(self):
+        kern = uniform_kernel(4, 2)
+        cfg = SimConfig(n=4, k=2, reps=100, seed=0)
+        plain = check_validity(cfg, lambda u: u, lambda rng, size: kern(rng, size))
+        assert np.array_equal(plain.empirical_cdf, check_validity(cfg, lambda u: u, kern).empirical_cdf)
 
     @pytest.mark.parametrize("f, shape", [(lambda u: u[:u.size // 2], (50,)),
                                           (lambda u: np.concatenate([u, u]), (200,)),
@@ -385,7 +438,8 @@ class TestCheckValidity:
             check_validity(cfg, lambda u: np.full(u.size, np.nan), uniform_kernel(4))
 
     def test_read_only_kernel_result_is_copied(self):
-        # a read-only matrix gives the writable one's report and is left as drawn
+        # a read-only result gives the writable one's report and is left as
+        # drawn: nothing is reordered or written in place any more
         n, k = 10, 5
         spec = solve_combiner(n, k)
         cfg = SimConfig(n=n, k=k, reps=CHUNK + 500, seed=4)
@@ -411,7 +465,7 @@ class TestCheckValidity:
 def orderstat_zscore(n, k, q, reps, seed):
     """z-score of the k-th of n uniforms' empirical CDF at q against P(Bin(n, q) >= k)."""
     cfg = SimConfig(n, k, reps, seed, alpha_grid=np.array([q]))
-    report = check_validity(cfg, lambda u: u, uniform_kernel(n))
+    report = check_validity(cfg, lambda u: u, uniform_kernel(n, k))
     empirical = report.empirical_cdf[0]
     expected = binom_upper_tail(n, k, q)
     if empirical == expected:  # a tail of exactly 0 or 1 has no spread
