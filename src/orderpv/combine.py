@@ -72,7 +72,11 @@ def combine_pvalues(values, k=None):
     arr = _check_sample(values)
     n = arr.size
     k = default_k(n) if k is None else _check_nk(n, k)[1]
-    u = _kth_smallest(arr, k)
+    return _combine(n, k, _kth_smallest(arr, k))
+
+
+def _combine(n, k, u):
+    """The `CombineResult` of a checked k-th smallest value u of n p-values."""
     spec = solve_combiner(n, k)
     return CombineResult(
         summary=spec.apply(u),

@@ -155,13 +155,15 @@ class CombinerSpec:
 
         Linear (slope * u) on [0, knee], the binomial upper tail beyond;
         the branches agree at the knee by construction.  The tail is
-        evaluated only where u > knee.
+        evaluated only where u > knee, as the incomplete beta I_u(k, n-k+1)
+        on the already checked values.  Every value is >= 0 (slope >= 1,
+        u >= 0, the tail >= 0), so capping at 1 is the only clip needed.
         """
         uarr = _check_p(u, "u").ravel()
         out = self.slope * uarr
         tail = uarr > self.knee
-        out[tail] = binom_upper_tail(self.n, self.k, uarr[tail])
-        return _as_result(np.clip(out, 0.0, 1.0), u)
+        out[tail] = _special().betainc(self.k, self.n - self.k + 1, uarr[tail])
+        return _as_result(np.minimum(out, 1.0, out=out), u)
 
     def invert(self, alpha):
         """The unique u with apply(u) == alpha.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bcmc import _as_binary, _serial_pvalue_rng, checkerboard_score
 from .binom import _check_n, _check_nk
-from .combine import CombineResult, combine_pvalues
+from .combine import CombineResult, _combine, default_k
 from .rngs import CHUNK, blocks
 
 
@@ -155,20 +155,25 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
     More than `MAX_BINS` bins, or a given k outside 1..n, are refused before
     anything is drawn.
 
-    One sort feeds every summary: the maximum is the last sorted value, the
-    bin counts are differences of the sorted positions of the bin edges, and
-    the quartiles interpolate between neighbouring sorted values.  Each
-    equals what `np.quantile`, `np.histogram` and ``sample.max()`` give, bit
-    for bit, without rescanning the sample three times.
+    One sort feeds the combined value and every summary.  The k-th sorted
+    value is the order statistic `combine_pvalues` would select, and the
+    sample was checked block by block as it was drawn, so it is neither
+    checked nor partitioned again.  The maximum is the last sorted value,
+    the bin counts are differences of the sorted positions of the bin
+    edges, and the quartiles interpolate between neighbouring sorted
+    values.  Each equals what `combine_pvalues`, `np.quantile`,
+    `np.histogram` and ``sample.max()`` give, bit for bit, without
+    rescanning the sample four times; only a sample holding both 0.0 and
+    -0.0 may give its k-th value the other zero's sign, which compares
+    equal.
     """
     bins = _check_n(bins, "bins")
     if bins > MAX_BINS:
         raise ValueError(f"at most MAX_BINS = {MAX_BINS} histogram bins are supported, got {bins}")
-    if k is not None:
-        _check_nk(n, k)
+    k = default_k(n) if k is None else _check_nk(n, k)[1]
     sample = subsample_pvalues(data, test, n, seed)
-    combined = combine_pvalues(sample, k)
     ordered = np.sort(sample)
+    combined = _combine(sample.size, k, float(ordered[k - 1]))
     edges = np.linspace(0.0, 1.0, bins + 1)
     # every value lies in [0, 1]: bin i holds edges[i] <= x < edges[i + 1],
     # and the last bin holds 1.0 too, as in np.histogram
@@ -225,6 +230,10 @@ MAX_BINS = 2**20
 # build at m = 200, growing as m^3 (about 2 GB near m = 1000).
 RANK_SUM_MAX_GROUPS = 200
 
+# Most values `rank_sum_test` ranks at once: a piece of max(1, 2**16 // m)
+# rows keeps its complex keys, tie-breaks and sort order under 3 MB.
+_RANK_SUM_PIECE = 2**16
+
 
 @lru_cache(maxsize=None)
 def _rank_sum_cdf(m1, m):
@@ -258,17 +267,36 @@ def rank_sum_test(picks, rng):
     columns are accepted.  Ties are broken uniformly at random with `rng`,
     which keeps the null distribution of the ranks exact for any common
     marginal.  Small p-values mean the first half is stochastically smaller.
+
+    Each row is ranked by one stable argsort of the complex keys value +
+    1j * tie-break.  numpy orders complex numbers by real part, then
+    imaginary part, with NaN last in each, and a stable sort keeps index
+    order on a full tie, so this is the lexicographic (value, tie-break)
+    order of ``np.lexsort((tiebreak, x))``.  The rows are ranked in pieces
+    of at most `_RANK_SUM_PIECE` values, each drawing its own tie-breaks
+    from `rng`; consecutive draws consume the same doubles as one draw over
+    the whole block, so the p-values and the generator's end state do not
+    depend on the piece size, and the scratch memory does not grow with b.
     """
     x = np.asarray(picks, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"rank_sum_test needs a (b, m) array with m >= 2, got shape {x.shape}")
-    m = x.shape[1]
+    b, m = x.shape
     m1 = m // 2
     cdf = _rank_sum_cdf(m1, m)
-    # order[:, r] is the column ranked r + 1, so the first half's rank sum
-    # adds r + 1 wherever that column is one of the first m1
-    order = np.lexsort((rng.random(x.shape), x), axis=-1)
-    return cdf[(order < m1) @ np.arange(1, m + 1)]
+    ranks = np.arange(1, m + 1)
+    rows = max(1, _RANK_SUM_PIECE // m)
+    out = np.empty(b)
+    for start in range(0, b, rows):
+        piece = x[start:start + rows]
+        key = np.empty(piece.shape, dtype=complex)
+        key.real = piece
+        key.imag = rng.random(piece.shape)
+        # order[:, r] is the column ranked r + 1, so the first half's rank
+        # sum adds r + 1 wherever that column is one of the first m1
+        order = np.argsort(key, axis=-1, kind="stable")
+        out[start:start + len(piece)] = cdf[(order < m1) @ ranks]
+    return out
 
 
 def make_bcmc_test(chain_length=1000, statistic=checkerboard_score):

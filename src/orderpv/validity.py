@@ -12,11 +12,10 @@ Kernels are callables ``kernel(rng, size) -> (size,) array``: each value is
 the k-th smallest of n conditionally i.i.d. p-values of one replication.
 `adversarial_kernel` draws it from its closed law at O(1) cost per
 replication, whatever n; `uniform_kernel` draws the n uniforms and selects
-the k-th.  Replications run serially in the fixed-size blocks of
-`rngs.blocks`, each on its own counter-derived stream, and the per-block
-tallies are summed, so a report depends only on the plan.  `SimConfig`
-refuses a plan whose block of n uniforms per row would hold more than
-`MAX_CHUNK_VALUES` draws.
+the k-th, and refuses a call whose (size, n) matrix would hold more than
+`MAX_CHUNK_VALUES` draws.  Replications run serially in the fixed-size
+blocks of `rngs.blocks`, each on its own counter-derived stream, and the
+per-block tallies are summed, so a report depends only on the plan.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 from .binom import _check_n, _check_nk, _check_p
 from .combine import default_k
 from .correction import solve_combiner
-from .rngs import CHUNK, blocks, check_seed
+from .rngs import blocks, check_seed
 
 DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 
@@ -34,9 +33,10 @@ DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 # grid this keeps the false-alarm rate per report at the percent level.
 SIGMA_RULE = 3.0
 
-# Draws one block of `uniform_kernel` may hold: 2**27 float64 values are
-# 1 GiB.  The block is min(reps, CHUNK) rows of n values, so at full blocks
-# n is at most 8192.  The plan alone is checked, whatever the kernel.
+# Draws one call of `uniform_kernel` may hold: 2**27 float64 values are
+# 1 GiB.  A block is min(reps, CHUNK) rows of n values, so at full blocks
+# n is at most 8192.  `adversarial_kernel` holds O(1) per replication and
+# needs no bound.
 MAX_CHUNK_VALUES = 2**27
 
 
@@ -45,8 +45,9 @@ class SimConfig:
     """Replication plan for a validity study.
 
     `n`, `k`, `reps` and `seed` are checked and stored as ints; a
-    non-integral one is refused.  A plan whose block of min(reps, CHUNK) rows of n draws holds
-    more than `MAX_CHUNK_VALUES` values is refused before anything is drawn.
+    non-integral one is refused.  How much memory a block takes is the
+    kernel's to bound: `uniform_kernel` refuses a block above
+    `MAX_CHUNK_VALUES` draws.
     """
 
     n: int
@@ -61,12 +62,6 @@ class SimConfig:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "reps", _check_n(self.reps, "reps"))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        values = min(self.reps, CHUNK) * self.n
-        if values > MAX_CHUNK_VALUES:
-            raise ValueError(
-                f"a block of min(reps, {CHUNK}) x n = {values} draws exceeds "
-                f"MAX_CHUNK_VALUES = {MAX_CHUNK_VALUES}; lower n or reps"
-            )
         grid = _check_p(self.alpha_grid, "alpha_grid")
         if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("alpha_grid must be a non-empty, strictly increasing 1-d vector")
@@ -134,13 +129,17 @@ def uniform_kernel(n, k=None):
     """Kernel of the k-th smallest of n i.i.d. uniforms (the no-dependence base case).
 
     Each call draws a (size, n) matrix and reorders its rows in place to
-    select the k-th smallest value.  `n` must be an integer >= 1; `k`
-    defaults to `default_k(n)`.
+    select the k-th smallest value.  A call whose matrix would hold more
+    than `MAX_CHUNK_VALUES` draws raises ValueError before drawing.  `n`
+    must be an integer >= 1; `k` defaults to `default_k(n)`.
     """
     n = _check_n(n)
     k = default_k(n) if k is None else _check_nk(n, k)[1]
 
     def kernel(rng, size):
+        if size * n > MAX_CHUNK_VALUES:
+            raise ValueError(f"a block of {size} x n = {size * n} draws exceeds "
+                             f"MAX_CHUNK_VALUES = {MAX_CHUNK_VALUES}; lower n or reps")
         draws = rng.random((size, n))
         draws.partition(k - 1, axis=1)
         return draws[:, k - 1]

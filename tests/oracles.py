@@ -171,6 +171,24 @@ def rank_sum_bruteforce(row, tiebreak, m1):
     return sum(1 + sum(other < keys[i] for other in keys) for i in range(m1))
 
 
+def rank_sum_lexsort(x, rng):
+    """`rank_sum_test` by one lexsort over the whole block, tie-breaks drawn at once.
+
+    This was the production formula before the rows were ranked in pieces by
+    a stable argsort of complex keys; the two must agree bit for bit and
+    leave `rng` in the same state.  The null CDF table is the package's,
+    checked on its own against `rank_sum_null_cdf_bruteforce`.
+    """
+    from orderpv.subsample import _rank_sum_cdf
+
+    x = np.asarray(x, dtype=float)
+    m = x.shape[1]
+    m1 = m // 2
+    cdf = _rank_sum_cdf(m1, m)
+    order = np.lexsort((rng.random(x.shape), x), axis=-1)
+    return cdf[(order < m1) @ np.arange(1, m + 1)]
+
+
 def checkerboard_score_bruteforce(entries):
     """Mean over column pairs of (colsum_j - overlap)(colsum_j2 - overlap)."""
     e = np.asarray(entries)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderpv import subsample
+from orderpv.combine import combine_pvalues
 from orderpv.correction import solve_combiner
 from orderpv.rngs import CHUNK, blocks, stream
 from orderpv.subsample import (
@@ -20,7 +23,7 @@ from orderpv.subsample import (
     subsample_pvalues,
 )
 
-from oracles import rank_sum_bruteforce, rank_sum_null_cdf_bruteforce
+from oracles import rank_sum_bruteforce, rank_sum_lexsort, rank_sum_null_cdf_bruteforce
 
 
 def constant_test(value):
@@ -327,6 +330,52 @@ class TestRankSumTest:
         with pytest.raises(ValueError, match=str(RANK_SUM_MAX_GROUPS)):
             rank_sum_test(np.arange(m, dtype=float)[None, :], np.random.default_rng(0))
 
+    @staticmethod
+    def _rows(kind, b, m):
+        rng = np.random.default_rng([b, m])
+        if kind == "continuous":
+            return rng.random((b, m))
+        if kind == "integer ties":
+            return rng.integers(0, 3, (b, m)).astype(float)
+        if kind == "all equal":
+            return np.full((b, m), 0.25)
+        # signed zeros compare equal; NaN ranks above +inf
+        return rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 0.5], (b, m))
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer ties", "all equal", "specials"])
+    @pytest.mark.parametrize("b", [1, 200, CHUNK])
+    @pytest.mark.parametrize("m", [2, 3, 12, 57, 200])
+    def test_equals_lexsort_oracle_bit_for_bit(self, kind, b, m):
+        # at b = CHUNK, m >= 12 spans several pieces, the last one short
+        x = self._rows(kind, b, m)
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+        ps = rank_sum_test(x, rng)
+        assert ps.tobytes() == rank_sum_lexsort(x, ref).tobytes()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("piece", [1, 7, 100])
+    def test_piece_size_changes_nothing(self, piece, monkeypatch):
+        # pieces of one row, of fewer values than a row, and ragged ones
+        monkeypatch.setattr(subsample, "_RANK_SUM_PIECE", piece)
+        for kind in ("integer ties", "specials"):
+            x = self._rows(kind, 200, 12)
+            rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+            assert rank_sum_test(x, rng).tobytes() == rank_sum_lexsort(x, ref).tobytes()
+            assert rng.random() == ref.random()
+
+    def test_scratch_does_not_grow_with_the_block(self):
+        x = np.random.default_rng(3).random((CHUNK, RANK_SUM_MAX_GROUPS))
+        rank_sum_test(x[:1], np.random.default_rng(0))  # builds the cached CDF table
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            rank_sum_test(x, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-block lexsort holds about 53 MB at this shape, the pieces under 3 MB
+        assert peak <= 8 * 2**20, peak
+
 
 class TestRunPipeline:
     def test_single_repetition_is_identity(self):
@@ -349,6 +398,15 @@ class TestRunPipeline:
         data = shifted_uniform_groups(rng, [2, 3, 2, 2])
         result = run_pipeline(data, rank_sum_test, n=11, seed=2)
         assert result.combined.k == 6
+
+    @pytest.mark.parametrize("n,k", [(1, None), (1, 1), (1, 1.0), (199, None), (199, 100),
+                                     (199, 100.0), (200, None), (200, 100), (200, 100.0)])
+    def test_combined_equals_combine_pvalues(self, n, k):
+        # the order statistic is read from the report's sort, not partitioned
+        data = shifted_uniform_groups(np.random.default_rng(16), [2, 3, 1, 4, 2, 3])
+        result = run_pipeline(data, rank_sum_test, n=n, k=k, seed=5)
+        assert result.combined == combine_pvalues(result.sample, k)
+        assert type(result.combined.k) is int and type(result.combined.order_stat) is float
 
     def test_end_to_end_null_validity_small(self):
         # outer Monte Carlo over dataset draws; conservative base test keeps

@@ -63,15 +63,36 @@ class TestSimConfig:
         expected = check_validity(as_ints, lambda u: u, uniform_kernel(10))
         assert np.array_equal(report.empirical_cdf, expected.empirical_cdf)
 
+
+class _Drew(Exception):
+    """Raised by `_DrawProbe` in place of drawing."""
+
+
+class _DrawProbe:
+    """A generator stand-in that stops a kernel at its first draw."""
+
+    def random(self, shape):
+        raise _Drew(shape)
+
+
+class TestUniformKernel:
     def test_bounds_the_draws_of_one_block(self):
-        # a block holds min(reps, CHUNK) rows of n draws; only configs are built here
+        # a block holds min(reps, CHUNK) rows of n draws; the probe stops the
+        # kernel at its first draw, so nothing of that size is allocated
         widest = MAX_CHUNK_VALUES // CHUNK
-        assert SimConfig(n=widest, k=1, reps=10**12, seed=0).n == widest
-        assert SimConfig(n=MAX_CHUNK_VALUES, k=1, reps=1, seed=0).reps == 1
-        for n, reps in ((widest + 1, CHUNK), (widest + 1, 10**12), (MAX_CHUNK_VALUES, 2),
-                        (10**5, 10**5)):
-            with pytest.raises(ValueError, match="MAX_CHUNK_VALUES"):
-                SimConfig(n=n, k=1, reps=reps, seed=0)
+        for n, size in ((widest, CHUNK), (MAX_CHUNK_VALUES, 1)):
+            with pytest.raises(_Drew) as drew:
+                uniform_kernel(n, 1)(_DrawProbe(), size)
+            assert drew.value.args == ((size, n),)
+        for n, size in ((widest + 1, CHUNK), (MAX_CHUNK_VALUES, 2), (10**5, CHUNK)):
+            with pytest.raises(ValueError, match=f"{size} x n = {size * n} draws exceeds "
+                                                 f"MAX_CHUNK_VALUES = {MAX_CHUNK_VALUES}"):
+                uniform_kernel(n, 1)(_DrawProbe(), size)
+        # SimConfig takes the plan; check_validity's first call is refused
+        cfg = SimConfig(n=10**5, k=1, reps=10**5, seed=0)
+        kernel = uniform_kernel(10**5, 1)
+        with pytest.raises(ValueError, match="MAX_CHUNK_VALUES"):
+            check_validity(cfg, lambda u: u, lambda rng, size: kernel(_DrawProbe(), size))
 
 
 def _replayed(n, k, t, seed, size):
