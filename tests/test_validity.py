@@ -63,6 +63,25 @@ class TestSimConfig:
         expected = check_validity(as_ints, lambda u: u, uniform_kernel(10))
         assert np.array_equal(report.empirical_cdf, expected.empirical_cdf)
 
+    def test_bounds_the_draws_of_one_block(self):
+        # a block holds min(reps, CHUNK) rows of n draws; SimConfig takes any
+        # plan, and check_validity's first call to uniform_kernel either
+        # reaches a draw of that shape or is refused before drawing
+        widest = MAX_CHUNK_VALUES // CHUNK
+        for n, reps in ((widest, 10**12), (MAX_CHUNK_VALUES, 1)):
+            cfg = SimConfig(n=n, k=1, reps=reps, seed=0)
+            kernel = uniform_kernel(n, 1)
+            with pytest.raises(_Drew) as drew:
+                check_validity(cfg, lambda u: u, lambda rng, size: kernel(_DrawProbe(), size))
+            assert drew.value.args == ((min(reps, CHUNK), n),)
+        for n, reps in ((widest + 1, CHUNK), (widest + 1, 10**12), (MAX_CHUNK_VALUES, 2),
+                        (10**5, 10**5)):
+            cfg = SimConfig(n=n, k=1, reps=reps, seed=0)
+            assert (cfg.n, cfg.reps) == (n, reps)
+            kernel = uniform_kernel(n, 1)
+            with pytest.raises(ValueError, match="MAX_CHUNK_VALUES"):
+                check_validity(cfg, lambda u: u, lambda rng, size: kernel(_DrawProbe(), size))
+
 
 class _Drew(Exception):
     """Raised by `_DrawProbe` in place of drawing."""
@@ -76,9 +95,9 @@ class _DrawProbe:
 
 
 class TestUniformKernel:
-    def test_bounds_the_draws_of_one_block(self):
-        # a block holds min(reps, CHUNK) rows of n draws; the probe stops the
-        # kernel at its first draw, so nothing of that size is allocated
+    def test_refuses_a_block_above_the_bound(self):
+        # the probe stops the kernel at its first draw, so nothing of that
+        # size is allocated
         widest = MAX_CHUNK_VALUES // CHUNK
         for n, size in ((widest, CHUNK), (MAX_CHUNK_VALUES, 1)):
             with pytest.raises(_Drew) as drew:
@@ -88,11 +107,6 @@ class TestUniformKernel:
             with pytest.raises(ValueError, match=f"{size} x n = {size * n} draws exceeds "
                                                  f"MAX_CHUNK_VALUES = {MAX_CHUNK_VALUES}"):
                 uniform_kernel(n, 1)(_DrawProbe(), size)
-        # SimConfig takes the plan; check_validity's first call is refused
-        cfg = SimConfig(n=10**5, k=1, reps=10**5, seed=0)
-        kernel = uniform_kernel(10**5, 1)
-        with pytest.raises(ValueError, match="MAX_CHUNK_VALUES"):
-            check_validity(cfg, lambda u: u, lambda rng, size: kernel(_DrawProbe(), size))
 
 
 def _replayed(n, k, t, seed, size):
