@@ -1,11 +1,12 @@
 """Command-line front end: CSV in, plain-text/CSV reports out.
 
-Each command checks that its output files can be written, computes its
-results, writes its output files, then prints one report through
-`_write_report`: '# key = value' metadata lines, 'key = value' result lines
-at --precision significant digits, then an optional CSV table with floats
-written %.10g.  A command that fails leaves stdout empty and creates no
-output file.
+Each command only computes: it returns its exit code, the report to print
+and the report for its output file, if one was asked for.  `main` alone
+probes the output path, resolves the seed, runs the command, writes the
+file and prints, each through `_write_report`: '# key = value' metadata
+lines, 'key = value' result lines at --precision significant digits, then
+an optional CSV table with floats written %.10g.  A command that fails
+leaves stdout empty and creates no output file.
 
 Exit codes: 0 success, 1 a requested check did not come out as expected,
 2 usage or data error, 3 internal numeric failure.  Every stochastic
@@ -202,13 +203,8 @@ def _write_report(fh, precision=None, metadata=(), results=(), table=None):
             fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _save(path, **report):
-    with open(path, "w") as fh:
-        _write_report(fh, **report)
-
-
 def _check_out(path):
-    """Raise now the `OSError` that `_save(path)` would raise after the run.
+    """Raise now the `OSError` that `main` would meet writing `path` after the run.
 
     The probe opens `path` for appending, which leaves an existing file as it
     is, and removes a file it created, so a failed run leaves no file behind.
@@ -223,7 +219,8 @@ def _check_out(path):
 
 # ---------------------------------------------------------------- commands
 #
-# Each returns (exit code, keyword arguments of `_write_report`) for `main`.
+# Each returns (exit code, stdout report, file report or None), reports as
+# `_write_report` keyword arguments; `main` has resolved `args.seed`.
 
 
 def _cmd_fnk(args):
@@ -235,70 +232,63 @@ def _cmd_fnk(args):
     results = [("n", spec.n), ("k", spec.k), ("knee", spec.knee), ("correction", spec.slope),
                ("correction_lower_bound", lower / probe), ("correction_upper_bound", upper / probe)]
     results += [(f"f({_show(u, args.precision)})", spec.apply(u)) for u in args.u or []]
-    return EXIT_OK, dict(results=results)
+    return EXIT_OK, dict(results=results), None
 
 
 def _cmd_combine(args):
     res = combine_pvalues(read_pvalues(args.file), args.k)  # --median leaves k None
     return EXIT_OK, dict(results=[("n", res.n), ("k", res.k), ("order_stat", res.order_stat),
-                                  ("summary", res.summary), ("bound", res.bound)])
+                                  ("summary", res.summary), ("bound", res.bound)]), None
 
 
 def _cmd_validate(args):
-    _check_out(args.out)
-    seed = _resolve_seed(args.seed)
-    scan = tightness_scan(args.n, args.k, args.shrink, args.reps, seed)
+    scan = tightness_scan(args.n, args.k, args.shrink, args.reps, args.seed)
     code = EXIT_OK if scan.any_violation == (args.shrink < 1.0) else EXIT_CHECK_FAILED
     report = dict(
         metadata=[("command", "validate"), ("n", args.n), ("k", args.k), ("reps", args.reps),
-                  ("seed", seed), ("shrink", args.shrink)],
+                  ("seed", args.seed), ("shrink", args.shrink)],
         table=("alpha,empirical_cdf,std_err,verdict", scan.rows()),
     )
     if not args.out:
-        return code, report
-    _save(args.out, **report)
-    return code, dict(results=[("seed", seed), ("report", args.out),
-                               ("violations", len(scan.violations))])
+        return code, report, None
+    return code, dict(results=[("seed", args.seed), ("report", args.out),
+                               ("violations", len(scan.violations))]), report
 
 
 def _cmd_subsample(args):
-    _check_out(args.hist_out)
-    seed = _resolve_seed(args.seed)
     ranksum = args.test == "ranksum"
     data = GroupedDataset(read_grouped_csv(args.file, args.group_col, _score if ranksum else _bits))
     test = rank_sum_test if ranksum else make_bcmc_test(chain_length=args.chain_length)
-    result = run_pipeline(data, test, args.n, k=args.k, seed=seed, bins=args.bins)
+    result = run_pipeline(data, test, args.n, k=args.k, seed=args.seed, bins=args.bins)
     histogram = ("bin_left,bin_right,count",
                  zip(result.bin_edges[:-1], result.bin_edges[1:], map(int, result.bin_counts)))
     report = dict(
-        metadata=[("command", "subsample"), ("seed", seed), ("test", args.test)],
+        metadata=[("command", "subsample"), ("seed", args.seed), ("test", args.test)],
         results=[("n", args.n), ("k", result.combined.k), ("m_groups", data.m),
                  ("quartiles", result.quartiles), ("maximum", result.maximum),
                  ("order_stat", result.combined.order_stat), ("summary", result.summary),
                  ("bound", result.combined.bound)],
     )
-    if not args.hist_out:
-        return EXIT_OK, dict(report, table=histogram)
-    _save(args.hist_out, table=histogram)
-    report["results"].append(("histogram", args.hist_out))
-    return EXIT_OK, report
+    if not args.out:
+        return EXIT_OK, dict(report, table=histogram), None
+    report["results"].append(("histogram", args.out))
+    return EXIT_OK, report, dict(table=histogram)
 
 
 def _cmd_bcmc(args):
-    _check_out(args.trace_out)
-    seed = _resolve_seed(args.seed)
     mat = read_binary_matrix(args.file)
-    cfg = ChainConfig(length=args.chain_length, seed=seed)
+    cfg = ChainConfig(length=args.chain_length, seed=args.seed)
     results = [("rows", mat.shape[0]), ("cols", mat.shape[1]),
                ("chain_length", args.chain_length), ("statistic", cfg.statistic.__name__)]
-    if args.trace_out:
+    saved = None
+    if args.out:
         pvalue, trace = serial_pvalue(mat, cfg, return_trace=True)
-        _save(args.trace_out, table=("t,statistic", enumerate(trace, start=1)))
-        results.append(("trace", args.trace_out))
+        saved = dict(table=("t,statistic", enumerate(trace, start=1)))
+        results.append(("trace", args.out))
     else:
         pvalue = serial_pvalue(mat, cfg)
     results.append(("pvalue", pvalue))
-    return EXIT_OK, dict(metadata=[("command", "bcmc"), ("seed", seed)], results=results)
+    return EXIT_OK, dict(metadata=[("command", "bcmc"), ("seed", args.seed)], results=results), saved
 
 
 # ---------------------------------------------------------------- wiring
@@ -314,70 +304,63 @@ def _precision(text):
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--precision", type=_precision, default=6, metavar="DIGITS",
-                     help="significant digits in numeric output (default 6)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="orderpv",
         description="Combine conditionally i.i.d. p-values through one order statistic.",
     )
+    parser.set_defaults(out=None)
     subs = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--precision", type=_precision, default=6, metavar="DIGITS",
+                        help="significant digits in numeric output (default 6)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help=f"master seed (default: ${SEED_ENV_VAR} or 0); echoed in output")
 
-    p = subs.add_parser("fnk", help="solve the correction and evaluate it")
+    p = subs.add_parser("fnk", parents=[common], help="solve the correction and evaluate it")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--u", type=float, nargs="*", metavar="U",
                    help="evaluate the corrected value at these order statistics")
-    _add_common(p)
     p.set_defaults(func=_cmd_fnk)
 
-    p = subs.add_parser("combine", help="combine a file of p-values")
+    p = subs.add_parser("combine", parents=[common], help="combine a file of p-values")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int)
     group.add_argument("--median", action="store_true",
                        help="use the left sample median index floor((n+1)/2)")
-    _add_common(p)
     p.set_defaults(func=_cmd_combine)
 
-    p = subs.add_parser("validate", help="Monte Carlo validity / tightness check")
+    p = subs.add_parser("validate", parents=[seeded], help="Monte Carlo validity / tightness check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default: ${SEED_ENV_VAR} or 0); echoed in output")
     p.add_argument("--shrink", type=float, default=1.0,
                    help="scale the correction by this factor; < 1 expects violations")
     p.add_argument("--out", metavar="FILE", help="write the report CSV here instead of stdout")
-    _add_common(p)
     p.set_defaults(func=_cmd_validate)
 
-    p = subs.add_parser("subsample", help="one-per-group subsampling pipeline")
+    p = subs.add_parser("subsample", parents=[seeded], help="one-per-group subsampling pipeline")
     p.add_argument("file", help="CSV with a group column and data columns")
     p.add_argument("--group-col", required=True, metavar="NAME")
     p.add_argument("--test", choices=["ranksum", "bcmc"], default="ranksum")
     p.add_argument("--n", type=int, required=True, help="number of subsample repetitions")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None)
-    group.add_argument("--median", action="store_true",
-                       help="use the left sample median index (the default)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--k", type=int, default=None,
+                   help="order statistic index (default: the left median of --n)")
     p.add_argument("--bins", type=int, default=20, help="histogram bins on [0,1] (default 20)")
-    p.add_argument("--hist-out", metavar="FILE", help="write the histogram CSV here")
+    p.add_argument("--hist-out", dest="out", metavar="FILE", help="write the histogram CSV here")
     p.add_argument("--chain-length", type=int, default=1000,
                    help="chain length for --test bcmc (default 1000)")
-    _add_common(p)
     p.set_defaults(func=_cmd_subsample)
 
-    p = subs.add_parser("bcmc", help="serial Monte Carlo association test on a 0/1 matrix")
+    p = subs.add_parser("bcmc", parents=[seeded],
+                        help="serial Monte Carlo association test on a 0/1 matrix")
     p.add_argument("file", help="CSV of 0/1 values, optional header and label column")
     p.add_argument("--chain-length", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trace-out", metavar="FILE", help="write the statistic trace CSV here")
-    _add_common(p)
+    p.add_argument("--trace-out", dest="out", metavar="FILE",
+                   help="write the statistic trace CSV here")
     p.set_defaults(func=_cmd_bcmc)
 
     return parser
@@ -386,7 +369,13 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        code, report = args.func(args)
+        _check_out(args.out)
+        if "seed" in args:
+            args.seed = _resolve_seed(args.seed)
+        code, report, saved = args.func(args)
+        if saved is not None:
+            with open(args.out, "w") as fh:
+                _write_report(fh, **saved)
         text = io.StringIO()  # a report that fails to format prints nothing
         _write_report(text, args.precision, **report)
         sys.stdout.write(text.getvalue())

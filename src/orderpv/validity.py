@@ -18,19 +18,21 @@ blocks of `rngs.blocks`, each on its own counter-derived stream, and the
 per-block tallies are summed, so a report depends only on the plan.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binom import _check_n, _check_nk, _check_p
+from .binom import _check_n, _check_nk, _check_p, _special
 from .combine import default_k
 from .correction import solve_combiner
 from .rngs import blocks, check_seed
 
 DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 
-# Flag only excursions beyond 3 binomial standard errors: across a 20-point
-# grid this keeps the false-alarm rate per report at the percent level.
+# Flag a grid point only where P(Bin(reps, alpha) >= hits) < Phi(-3), an exact
+# 3-sigma binomial test: across a 20-point grid this keeps the false-alarm
+# rate per report at the percent level, at any reps.
 SIGMA_RULE = 3.0
 
 # Draws one call of `uniform_kernel` may hold: 2**27 float64 values are
@@ -81,7 +83,7 @@ class SimReport:
 
     @property
     def violations(self):
-        """Alpha grid points where the empirical CDF exceeds alpha + 3 SE."""
+        """Alpha grid points where the empirical CDF is above alpha by the 3-sigma binomial test."""
         mask = np.array([v == "violation" for v in self.verdict])
         return self.alpha[mask]
 
@@ -184,7 +186,8 @@ def check_validity(cfg, f, kernel):
     Returns
     -------
     SimReport
-        Violation is declared where empirical_cdf > alpha + 3 * std_err.
+        Violation is declared where hits h >= 1 and P(Bin(reps, alpha) >= h)
+        < Phi(-SIGMA_RULE); std_err, 0 at a hit rate of 0 or 1, is not used.
     """
     nk = getattr(kernel, "nk", None)
     if nk is not None and nk != (cfg.n, cfg.k):
@@ -195,9 +198,11 @@ def check_validity(cfg, f, kernel):
 
     emp = counts / cfg.reps
     se = np.sqrt(emp * (1.0 - emp) / cfg.reps)
+    # P(Bin(reps, alpha) >= hits), for hits >= 1
+    tail = _special().betainc(np.maximum(counts, 1), cfg.reps - counts + 1, cfg.alpha_grid)
+    level = 0.5 * math.erfc(SIGMA_RULE / math.sqrt(2.0))
     verdict = tuple(
-        "violation" if e > a + SIGMA_RULE * s else "consistent"
-        for a, e, s in zip(cfg.alpha_grid, emp, se)
+        "violation" if h >= 1 and p < level else "consistent" for h, p in zip(counts, tail)
     )
     return SimReport(
         alpha=cfg.alpha_grid.copy(),

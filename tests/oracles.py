@@ -161,6 +161,57 @@ def rank_sum_null_cdf_bruteforce(m1, m):
     return np.array([(sums <= w).mean() for w in range(max_sum + 1)])
 
 
+def mann_whitney_null_pmf(a, b):
+    """pmf of #{(i, j): key_j < key_i} for i among a and j among b uniformly ordered keys."""
+    shift = a * (a - 1) // 2
+    counts = [sum(places) - shift for places in itertools.combinations(range(a + b), a)]
+    return np.bincount(counts) / len(counts)
+
+
+def subsample_rank_sum_law(groups):
+    """F_data: the exact law of one repetition's `rank_sum_test` p-value, given the groups.
+
+    Every pick of one observation per group is enumerated at once, through
+    `np.indices` over the group sizes, each with probability 1/prod(sizes).
+    The first m1 = m // 2 groups are tested against the rest, and ties are
+    broken uniformly at random, so a pick's rank sum is
+
+        W = m1 + sum_{i < m1} #{j: x_j < x_i} + sum_classes a(a-1)/2 + R,
+
+    where each class of c tied values, a of them in the first m1, adds an
+    independent Mann-Whitney count of a against c - a to R.  The law of R
+    depends only on the pick's multiset of (a, c), so it is convolved once
+    per distinct multiset.  Returns (atoms, masses): the p-values P(W0 <= w)
+    from `rank_sum_null_cdf_bruteforce`, increasing, and their probabilities.
+    """
+    sizes = [len(g) for g in groups]
+    m, m1 = len(groups), len(groups) // 2
+    picks = np.indices(sizes).reshape(m, -1)
+    x = np.stack([np.asarray(g, dtype=float)[i] for g, i in zip(groups, picks)], axis=1)
+    below = (x[:, None, :] < x[:, :m1, None]).sum(axis=(1, 2))
+    equal = x[:, :, None] == x[:, None, :]
+    pairs_in_first = (equal[:, :m1, :m1].sum(axis=(1, 2)) - m1) // 2
+    base = m1 + below + pairs_in_first
+    c, a = equal.sum(axis=2), equal[:, :, :m1].sum(axis=2)
+    # every column of a class carries the class's (a, c), so the sorted codes
+    # name the pick's multiset of classes
+    signatures, which = np.unique(np.sort(a * (m + 1) + c, axis=1), axis=0, return_inverse=True)
+    which = which.ravel()
+    mass = np.zeros(m * (m + 1) // 2 + 1)
+    for s, signature in enumerate(signatures):
+        law = np.ones(1)
+        codes, columns = np.unique(signature, return_counts=True)
+        for code, count in zip(codes, columns):
+            a_class, c_class = divmod(int(code), m + 1)
+            for _ in range(count // c_class):
+                law = np.convolve(law, mann_whitney_null_pmf(a_class, c_class - a_class))
+        for r, p in enumerate(law):
+            np.add.at(mass, base[which == s] + r, p)
+    mass /= picks.shape[1]
+    support = np.flatnonzero(mass)
+    return rank_sum_null_cdf_bruteforce(m1, m)[support], mass[support]
+
+
 def rank_sum_bruteforce(row, tiebreak, m1):
     """Rank sum of the first m1 entries of `row`, ties broken by `tiebreak`.
 

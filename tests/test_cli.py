@@ -286,7 +286,7 @@ class TestSubsample:
         hist = tmp_path / "hist.csv"
         args = [
             "subsample", path, "--group-col", "day", "--n", "21",
-            "--median", "--seed", "8", "--hist-out", str(hist), "--bins", "10",
+            "--seed", "8", "--hist-out", str(hist), "--bins", "10",
         ]
         code, out, _ = run_cli(capsys, *args)
         assert code == 0
@@ -396,16 +396,15 @@ class TestSubsample:
             capsys, "subsample", path, "--group-col", "day", "--n", "5", "--k", "2", "--median"
         )
         assert code == 2 and out == ""
-        assert "argument --median: not allowed with argument --k" in err
+        assert "unrecognized arguments: --median" in err
 
     def test_default_k_is_left_median_of_n(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         path = write_grouped(tmp_path / "g.csv", self.grouped_rows(rng))
         args = ["subsample", path, "--group-col", "day", "--n", "20", "--seed", "1"]
         _, out, _ = run_cli(capsys, *args)
-        _, out_median, _ = run_cli(capsys, *args, "--median")
         _, out_k, _ = run_cli(capsys, *args, "--k", "10")
-        assert "k = 10\n" in out and out == out_median == out_k
+        assert "k = 10\n" in out and out == out_k
 
     def test_byte_order_mark_before_header(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
@@ -737,3 +736,53 @@ def test_failed_run_leaves_output_path_as_it_was(command, existing, tmp_path, ca
         assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
     else:
         assert not (tmp_path / "out.csv").exists()
+
+
+# ---------------------------------------------------------------- seeds
+#
+# `main` resolves the seed of every seeded command the same way: --seed,
+# else $ORDERPV_SEED, else 0; the seed used is echoed.
+
+SEEDED_ARGV = {
+    "validate": ["validate", "--n", "4", "--k", "2", "--reps", "5000"],
+    "subsample": ["subsample", "g.csv", "--group-col", "day", "--n", "30"],
+    "bcmc": ["bcmc", "m.csv", "--chain-length", "40"],
+}
+
+
+@pytest.mark.parametrize("command", ["bcmc", "subsample"])  # validate: TestValidate
+def test_env_seed_is_used_and_echoed(command, tmp_path, capsys, monkeypatch):
+    _in_golden_dir(tmp_path, monkeypatch)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    _, given, _ = run_cli(capsys, *SEEDED_ARGV[command], "--seed", "314")
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "314")
+    code, out, err = run_cli(capsys, *SEEDED_ARGV[command])
+    assert (code, err) == (0, "")
+    assert "# seed = 314\n" in out and out == given
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+def test_seed_option_wins_over_env(command, tmp_path, capsys, monkeypatch):
+    _in_golden_dir(tmp_path, monkeypatch)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    _, given, _ = run_cli(capsys, *SEEDED_ARGV[command], "--seed", "5")
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "314")
+    code, out, err = run_cli(capsys, *SEEDED_ARGV[command], "--seed", "5")
+    assert (code, err) == (0, "")
+    assert "# seed = 5\n" in out and out == given
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_CASES))
+def test_non_integral_env_seed_exit_two_without_output(command, tmp_path, capsys, monkeypatch):
+    argv, computation = OUTPUT_CASES[command]
+    before = _in_golden_dir(tmp_path, monkeypatch)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{computation} ran with a refused seed")
+
+    monkeypatch.setattr(cli, computation, not_reached)
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "1.5")
+    code, out, err = run_cli(capsys, *argv, "out.csv")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cli.SEED_ENV_VAR}='1.5': ")
+    assert sorted(tmp_path.iterdir()) == before

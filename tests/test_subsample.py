@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from orderpv import subsample
 from orderpv.combine import combine_pvalues
@@ -23,7 +25,12 @@ from orderpv.subsample import (
     subsample_pvalues,
 )
 
-from oracles import rank_sum_bruteforce, rank_sum_lexsort, rank_sum_null_cdf_bruteforce
+from oracles import (
+    rank_sum_bruteforce,
+    rank_sum_lexsort,
+    rank_sum_null_cdf_bruteforce,
+    subsample_rank_sum_law,
+)
 
 
 def constant_test(value):
@@ -270,6 +277,63 @@ class TestSubsamplePvalues:
         longer = subsample_pvalues(data, recording_test, CHUNK + 3, seed=21)
         assert shapes == [(CHUNK, 6), (3, 6)]
         assert np.array_equal(longer[:CHUNK], subsample_pvalues(data, rank_sum_test, CHUNK, seed=21))
+
+
+PREMISE_SIZES = [2, 3, 1, 4, 2, 3, 2, 2, 3, 1, 2, 3]  # acceptance 10's design, 10 368 picks
+
+
+def premise_groups(seed, tied):
+    """Groups of PREMISE_SIZES spread over [0, 1], or on the integers 0..3 (ties) when `tied`."""
+    rng = np.random.default_rng(seed)
+    if tied:
+        return [rng.integers(0, 4, size).astype(float).tolist() for size in PREMISE_SIZES]
+    return [rng.random(size).tolist() for size in PREMISE_SIZES]
+
+
+class TestPremise:
+    """The theorem's premise: given the data, the n p-values are i.i.d. with law F_data."""
+
+    def test_law_oracle_matches_enumerated_tie_breaks(self):
+        # every pick and every ordering of the tie-break keys, on a tiny tied dataset
+        groups = [[0.0, 1.0], [1.0, 2.0, 0.0], [1.0], [2.0, 1.0]]
+        m1 = len(groups) // 2
+        cdf = rank_sum_null_cdf_bruteforce(m1, len(groups))
+        law = {}
+        picks = list(itertools.product(*groups))
+        orders = list(itertools.permutations(range(len(groups))))
+        for row in picks:
+            for keys in orders:
+                value = cdf[rank_sum_bruteforce(row, keys, m1)]
+                law[value] = law.get(value, 0.0) + 1.0 / (len(picks) * len(orders))
+        atoms, masses = subsample_rank_sum_law(groups)
+        assert np.allclose(atoms, sorted(law), rtol=0.0, atol=1e-15)
+        assert np.allclose(masses, [law[a] for a in sorted(law)], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed,tied", [(1, False), (2, True)])
+    def test_draws_follow_the_exact_law(self, seed, tied):
+        draws, least = 200_000, 5.0
+        atoms, masses = subsample_rank_sum_law(premise_groups(seed, tied))
+        assert len(atoms) >= 20 and masses.sum() == pytest.approx(1.0, abs=1e-12)
+        values = subsample_pvalues(GroupedDataset(premise_groups(seed, tied)), rank_sum_test,
+                                   draws, seed=seed)
+        # every value sits on an atom of F_data
+        right = np.clip(np.searchsorted(atoms, values), 1, len(atoms) - 1)
+        place = np.where(values - atoms[right - 1] < atoms[right] - values, right - 1, right)
+        assert np.abs(values - atoms[place]).max() <= 1e-12
+        # chi-square over the atoms in order, pooled until each cell expects `least` draws
+        observed, expected = [], []
+        o = e = 0.0
+        for count, mass in zip(np.bincount(place, minlength=len(atoms)), masses):
+            o, e = o + count, e + draws * mass
+            if e >= least:
+                observed.append(o)
+                expected.append(e)
+                o = e = 0.0
+        observed[-1] += o
+        expected[-1] += e
+        observed, expected = np.array(observed), np.array(expected)
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        assert stats.chi2.sf(chi2, len(observed) - 1) >= stats.norm.cdf(-3.0)
 
 
 class TestRankSumTest:

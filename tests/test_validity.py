@@ -538,6 +538,22 @@ class TestTightnessScan:
         report = tightness_scan(4, 2, 0.5, 100_000, 9)
         assert 0.1 in report.violations
 
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_boundary_shrink_is_consistent_at_small_reps(self, reps):
+        # a rule on the estimated standard error, which is 0 at a hit rate of
+        # 0 or 1, convicted the exact correction in about half of these seeds
+        flagged = [seed for seed in range(200)
+                   if tightness_scan(10, 5, 1.0, reps, seed).any_violation]
+        assert flagged == []
+
+    @pytest.mark.parametrize("shrink,reps,seed", [(1.0, 50, 3), (0.9, 3000, 4), (0.5, 100, 9)])
+    def test_verdict_is_the_exact_binomial_test(self, shrink, reps, seed):
+        report = tightness_scan(4, 2, shrink, reps, seed)
+        hits = np.rint(report.empirical_cdf * reps)
+        tail = stats.binom.sf(hits - 1, reps, report.alpha)
+        expected = np.where((hits >= 1) & (tail < stats.norm.cdf(-3.0)), "violation", "consistent")
+        assert report.verdict == tuple(expected)
+
     def test_rejects_bad_shrink(self):
         with pytest.raises(ValueError):
             tightness_scan(4, 2, 0.0, 100, 0)
