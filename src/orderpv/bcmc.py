@@ -29,8 +29,7 @@ _STACK_BYTES = 2**15
 # Below this many rows the checkerboard overlap counts are exact in float32.
 _FLOAT32_EXACT_ROWS = 2**24
 # Longest chain whose trace `serial_pvalue` returns.  The trace is one
-# float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak,
-# plus one piece of at most `_BLOCK` steps (64 KB) while a stack is written.
+# float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak.
 MAX_TRACE_LENGTH = 2**24
 
 
@@ -95,16 +94,15 @@ def _advance(work, steps, rng, score=None):
     they are not cached small ints, and the four lists of one block add
     about 0.7 MB to the traced peak of a 40x20 chain.
 
-    A state lasts until the next accepted swap, so the loop only appends a
-    byte snapshot of each new state, and the step where it begins, to a
-    stack, which goes to `score` when full (`_STACK_BYTES`; a larger state
-    goes alone) and at the end.  At the end of each index block but the
-    last, the stacked states that have ended go to `score` too, and the
-    current state carries over, with the step where it began, as the first
-    entry of a fresh stack.  So each state is scored once, only a stack's
-    first state can last beyond one block, and the runs after it add up to
-    at most `_BLOCK` steps, for at most one more call a block.  One numpy
-    call costs several microseconds whatever its size, and on a 40x20 chain
+    A state lasts until the next accepted swap, so the loop appends a byte
+    snapshot of a state, and its run, to a stack only when the swap that
+    ends it is accepted, before the swap's cell writes, and the state left
+    by the last step after the loop.  A swap at step 0 ends the initial
+    state after no step, and that state is skipped.  The stack goes to
+    `score` when full (`_STACK_BYTES`; a larger state goes alone) and at
+    the end, so each state is scored once, and only after it has ended,
+    whatever the index blocks.  One numpy call costs several
+    microseconds whatever its size, and on a 40x20 chain
     about one step in ten is accepted.  Scored one state at a time, the
     statistic took about 80 % of such a chain's time; in stacks it takes
     about half: 10**4 steps took 2.1 ms without scoring, 2.7 ms with a
@@ -118,8 +116,8 @@ def _advance(work, steps, rng, score=None):
     view = memoryview(cells)
     rows = [view[i * c:(i + 1) * c] for i in range(r)]
     full = max(1, _STACK_BYTES // len(cells)) * len(cells)  # bytes of a full stack
-    stack = None if score is None else bytearray(cells)
-    starts = [0]  # the step at which each stacked state begins
+    stack, runs = bytearray(), []  # snapshots of the states that have ended, and their runs
+    start = 0  # the step at which the current state began
     done = 0
     while done < steps:
         b = min(_BLOCK, steps - done)
@@ -136,41 +134,34 @@ def _advance(work, steps, rng, score=None):
             a = row1[c1]
             bb = row1[c2]
             if a != bb and row2[c2] == a and row2[c1] == bb:
+                if score is not None and t > start:
+                    stack += cells
+                    runs.append(t - start)
+                    start = t
+                    if len(stack) == full:
+                        _score_stack(stack, runs, work.shape, score)
+                        stack, runs = bytearray(), []
                 row1[c1] = bb
                 row2[c2] = bb
                 row1[c2] = a
                 row2[c1] = a
-                if stack is not None:
-                    if len(stack) == full:
-                        _score_stack(stack, starts, t, work.shape, score)
-                        stack, starts = bytearray(), []
-                    stack += cells
-                    starts.append(t)
         done += b
-        if stack is not None and done < steps and len(starts) > 1:
-            # hand on the states that have ended; the current one carries over
-            _score_stack(stack[:-len(cells)], starts[:-1], starts[-1], work.shape, score)
-            stack, starts = bytearray(cells), starts[-1:]
-    if stack is not None:
-        _score_stack(stack, starts, steps, work.shape, score)
+    if score is not None:
+        stack += cells
+        runs.append(steps - start)
+        _score_stack(stack, runs, work.shape, score)
     work[...] = np.frombuffer(cells, dtype=np.int8).reshape(r, c)
 
 
-def _score_stack(stack, starts, end, shape, score):
+def _score_stack(stack, runs, shape, score):
     """Hand the stacked states and their runs to `score`; see `_advance`.
 
-    State i lasts from step starts[i] to the next start, the last one to
-    `end`.  Only the first state can last no step (the chain's first step
-    swapped it away); it is dropped, and an empty stack is not handed on.
     With the runs, a score keeps no Python object per step: the trace of
     `_serial_pvalue_rng` holds 8 bytes a step.
     """
-    runs = np.diff(starts, append=end)
-    first = 0 if runs[0] else 1
-    if runs.size > first:
-        states = np.frombuffer(stack, dtype=np.int8).reshape(-1, *shape)[first:]
-        states.setflags(write=False)
-        score(states, runs[first:])
+    states = np.frombuffer(stack, dtype=np.int8).reshape(-1, *shape)
+    states.setflags(write=False)
+    score(states, np.array(runs))
 
 
 def checkerboard_score(mats):
@@ -245,10 +236,8 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
     counts the runs of values >= the observed one.  The trace is one float64
     array of the chain's length: each stack's runs are written into it as
     they come, forward from position tau + 1 up and backward from tau - 1
-    down.  A stack's first run is written as one slice, as it may last for
-    many blocks on a chain that seldom moves, and the rest, at most `_BLOCK`
-    steps (see `_advance`), as one `np.repeat` piece: the trace holds 8 bytes
-    a step and at most 64 KB more.
+    down, one slice a run, so no piece is built and the trace holds 8 bytes
+    a step and nothing more.
     """
     _check_swappable(entries.shape)
     tau = int(rng.integers(1, length + 1))
@@ -270,10 +259,9 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
         count += int(runs[values >= observed].sum())
         if side is None:
             return
-        first, span = int(runs[0]), int(runs.sum())
-        side[filled:filled + first] = values[0]
-        side[filled + first:filled + span] = np.repeat(values[1:], runs[1:])
-        filled += span
+        for value, run in zip(values.tolist(), runs.tolist()):
+            side[filled:filled + run] = value
+            filled += run
 
     observed = evaluate(entries[None])[0]
     count = 1  # t = tau
@@ -311,17 +299,25 @@ def serial_pvalue(mat, cfg, return_trace=False):
 
 
 def _check_margins(row_sums, col_sums):
-    rows = np.asarray(row_sums, dtype=np.int64)
-    cols = np.asarray(col_sums, dtype=np.int64)
-    if rows.ndim != 1 or cols.ndim != 1 or rows.size == 0 or cols.size == 0:
-        raise ValueError("row_sums and col_sums must be non-empty 1-d integer vectors")
-    if np.any(rows < 0) or np.any(cols < 0):
+    """The margins as int64 vectors; a non-integral one is refused, not truncated."""
+    checked = []
+    for name, sums in (("row_sums", row_sums), ("col_sums", col_sums)):
+        arr = np.asarray(sums)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError(f"{name} must be a non-empty 1-d integer vector")
+        values = arr.tolist()
+        ints = [integral(v) for v in values]
+        if None in ints:
+            raise ValueError(f"{name} must hold integers, got {values[ints.index(None)]!r}")
+        checked.append(ints)
+    rows, cols = checked
+    if min(rows) < 0 or min(cols) < 0:
         raise ValueError("margins must be non-negative")
-    if np.any(rows > cols.size) or np.any(cols > rows.size):
+    if max(rows) > len(cols) or max(cols) > len(rows):
         raise ValueError("margins cannot exceed the opposite dimension")
-    if rows.sum() != cols.sum():
+    if sum(rows) != sum(cols):
         raise ValueError("row and column sums must agree in total")
-    return rows, cols
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
 def generate_null_matrix(row_sums, col_sums, burn_in=10_000, seed=0):

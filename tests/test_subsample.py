@@ -290,6 +290,14 @@ def premise_groups(seed, tied):
     return [rng.random(size).tolist() for size in PREMISE_SIZES]
 
 
+def atom_index(atoms, values):
+    """The index of the atom each value sits on; checks that every value sits on one."""
+    right = np.clip(np.searchsorted(atoms, values), 1, len(atoms) - 1)
+    place = np.where(values - atoms[right - 1] < atoms[right] - values, right - 1, right)
+    assert np.abs(values - atoms[place]).max() <= 1e-12
+    return place
+
+
 class TestPremise:
     """The theorem's premise: given the data, the n p-values are i.i.d. with law F_data."""
 
@@ -316,10 +324,7 @@ class TestPremise:
         assert len(atoms) >= 20 and masses.sum() == pytest.approx(1.0, abs=1e-12)
         values = subsample_pvalues(GroupedDataset(premise_groups(seed, tied)), rank_sum_test,
                                    draws, seed=seed)
-        # every value sits on an atom of F_data
-        right = np.clip(np.searchsorted(atoms, values), 1, len(atoms) - 1)
-        place = np.where(values - atoms[right - 1] < atoms[right] - values, right - 1, right)
-        assert np.abs(values - atoms[place]).max() <= 1e-12
+        place = atom_index(atoms, values)
         # chi-square over the atoms in order, pooled until each cell expects `least` draws
         observed, expected = [], []
         o = e = 0.0
@@ -334,6 +339,25 @@ class TestPremise:
         observed, expected = np.array(observed), np.array(expected)
         chi2 = ((observed - expected) ** 2 / expected).sum()
         assert stats.chi2.sf(chi2, len(observed) - 1) >= stats.norm.cdf(-3.0)
+
+    @pytest.mark.parametrize("seed,tied", [(1, False), (2, True)])
+    def test_blocks_are_independent(self, seed, tied):
+        # equal positions of blocks 0/1 and 2/3 are pairs of independent
+        # draws: 2-d chi-square against the product of the exact marginals,
+        # with F_data's atoms pooled into about 6 cells of near-equal mass
+        atoms, masses = subsample_rank_sum_law(premise_groups(seed, tied))
+        middle = np.cumsum(masses) - masses / 2
+        _, cell = np.unique(np.minimum(6 * middle, 5).astype(int), return_inverse=True)
+        mass = np.bincount(cell, masses)
+        assert len(mass) >= 5
+        values = subsample_pvalues(GroupedDataset(premise_groups(seed, tied)), rank_sum_test,
+                                   4 * CHUNK, seed=seed)
+        cells = cell[atom_index(atoms, values)].reshape(2, 2, CHUNK)
+        pairs = len(mass) * cells[:, 0] + cells[:, 1]
+        observed = np.bincount(pairs.ravel(), minlength=len(mass) ** 2)
+        expected = 2 * CHUNK * np.outer(mass, mass).ravel()
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        assert stats.chi2.sf(chi2, len(mass) ** 2 - 1) >= stats.norm.cdf(-3.0)
 
 
 class TestRankSumTest:
