@@ -216,15 +216,22 @@ class TestValidate:
         assert code == 0
         assert "# seed = 314" in out
 
-    def test_threads_option_is_gone(self, capsys):
-        # argparse refuses any count, below one or not
-        for threads in ("0", "-2", "2"):
+    def test_thread_count_below_one_exit_two(self, capsys):
+        # --threads is gone, so argparse refuses any count
+        for threads in ("0", "-2"):
             code, out, err = run_cli_usage_error(
                 capsys, "validate", "--n", "4", "--k", "2", "--reps", "100",
                 "--threads", threads,
             )
             assert code == 2 and out == ""
             assert f"unrecognized arguments: --threads {threads}" in err
+
+    def test_threads_option_is_gone(self, capsys):
+        code, out, err = run_cli_usage_error(
+            capsys, "validate", "--n", "4", "--k", "2", "--reps", "100", "--threads", "2",
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --threads 2" in err
 
     def test_report_csv_layout(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--n", "2", "--k", "1", "--reps", "1000",
