@@ -31,11 +31,12 @@ from .rngs import CHUNK, blocks
 class GroupedDataset:
     """Observations partitioned into blocks with arbitrary within-block dependence.
 
-    `groups` is a list of non-empty sequences.  The observations are stacked
-    once into one array, so they must share a shape: scalars, or equal-length
-    vectors, and so on.  They must share a dtype kind too, so that stacking
-    never turns numbers into strings: bool, int and float groups may mix,
-    but a string, bytes or object group may only sit next to its own kind.
+    `groups` is a list of non-empty sequences, or an array whose rows are
+    the groups.  The observations are stacked once into one array, so they
+    must share a shape: scalars, or equal-length vectors, and so on.  They
+    must share a dtype kind too, so that stacking never turns numbers into
+    strings: bool, int and float groups may mix, but a string, bytes or
+    object group may only sit next to its own kind.
     The stacked copy is the dataset: picks, `m`, `sizes` and `total` all
     come from it, so changing `groups` afterwards changes none of them.
     """
@@ -46,7 +47,7 @@ class GroupedDataset:
     _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.groups:
+        if len(self.groups) == 0:
             raise ValueError("need at least one group")
         blocks = []
         for j, g in enumerate(self.groups):

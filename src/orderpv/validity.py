@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binom import _check_n, _check_nk, _check_p, _special
+from .binom import _check_n, _check_nk, _check_p, _upper_tail
 from .combine import default_k
 from .correction import solve_combiner
 from .rngs import blocks, check_seed
@@ -199,7 +199,7 @@ def check_validity(cfg, f, kernel):
     emp = counts / cfg.reps
     se = np.sqrt(emp * (1.0 - emp) / cfg.reps)
     # P(Bin(reps, alpha) >= hits), for hits >= 1
-    tail = _special().betainc(np.maximum(counts, 1), cfg.reps - counts + 1, cfg.alpha_grid)
+    tail = _upper_tail(cfg.reps, np.maximum(counts, 1), cfg.alpha_grid)
     level = 0.5 * math.erfc(SIGMA_RULE / math.sqrt(2.0))
     verdict = tuple(
         "violation" if h >= 1 and p < level else "consistent" for h, p in zip(counts, tail)

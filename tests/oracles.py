@@ -29,6 +29,32 @@ def exact_upper_tail(n, k, p_num, p_den):
     return float(total)
 
 
+def upper_tail_mp(n, k, p):
+    """P(Bin(n, p) >= k) at 50 mpmath digits, by summing binomial terms.
+
+    For k <= n/2 it is 1 - sum_{j<k} pmf(j), from pmf(0) = (1-p)^n with the
+    term ratio (n-j)/(j+1) * p/(1-p); above n/2 it sums the upper terms
+    down from pmf(n) = p^n with the inverse ratio.  Either way it takes at
+    most n/2 terms and needs no special function.
+    """
+    if p <= 0.0 or p >= 1.0:
+        return float(p >= 1.0)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(p)
+        odds = p / (1 - p)
+        if k <= n / 2:
+            term, total = (1 - p) ** n, mpmath.mpf(0)
+            for j in range(k):
+                total += term
+                term *= (n - j) * odds / (j + 1)
+            return float(1 - total)
+        term, total = p**n, mpmath.mpf(0)
+        for j in range(n, k - 1, -1):
+            total += term
+            term *= j / ((n - j + 1) * odds)
+        return float(total)
+
+
 def exact_knee(n, k):
     """Knee of the correction by 40-digit bisection, for 1 < k < n.
 
@@ -194,9 +220,12 @@ def subsample_rank_sum_law(groups):
     base = m1 + below + pairs_in_first
     c, a = equal.sum(axis=2), equal[:, :, :m1].sum(axis=2)
     # every column of a class carries the class's (a, c), so the sorted codes
-    # name the pick's multiset of classes
-    signatures, which = np.unique(np.sort(a * (m + 1) + c, axis=1), axis=0, return_inverse=True)
-    which = which.ravel()
+    # name the pick's multiset of classes; each row is made one void scalar,
+    # which np.unique sorts far faster than rows along axis 0
+    codes = np.ascontiguousarray(np.sort(a * (m + 1) + c, axis=1))
+    rows, which = np.unique(codes.view(np.dtype((np.void, codes.strides[0]))).ravel(),
+                            return_inverse=True)
+    signatures = rows.view(codes.dtype).reshape(len(rows), m)
     mass = np.zeros(m * (m + 1) // 2 + 1)
     for s, signature in enumerate(signatures):
         law = np.ones(1)

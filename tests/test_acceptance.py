@@ -21,7 +21,7 @@ from orderpv.validity import (
     uniform_kernel,
 )
 
-from oracles import enumerate_margin_class
+from oracles import enumerate_margin_class, subsample_rank_sum_law
 
 
 def verdict(num, desc, ok):
@@ -209,3 +209,28 @@ def test_criterion_10_pipeline_null_validity():
         details.append(f"{emp:.4f}<= {alpha}+3se")
         ok = ok and emp <= alpha + 3 * se
     verdict(10, "pipeline summary valid under grouped null: " + ", ".join(details), ok)
+
+
+def test_criterion_10_exact_conditional_rejection():
+    # acceptance 10 without its Monte Carlo: on its first datasets, the
+    # summary's conditional rejection rate given the data is exactly
+    # P(Bin(n, F_data(f^-1(alpha))) >= k), with F_data the enumerated law of
+    # one repetition's p-value
+    datasets, n, k = 150, 200, 100
+    alphas = (0.01, 0.05, 0.1)
+    cuts = solve_combiner(n, k).invert(np.array(alphas))
+    sizes = [2, 3, 1, 4, 2, 3, 2, 2, 3, 1, 2, 3]
+    rejection = np.empty((datasets, len(alphas)))
+    for i in range(datasets):
+        gen = np.random.default_rng(100_000 + i)
+        groups = []
+        for size in sizes:
+            shift = gen.random()
+            groups.append(((shift + 0.1 * gen.random(size)) % 1.0).tolist())
+        atoms, masses = subsample_rank_sum_law(groups)
+        rejection[i] = binom_upper_tail(n, k, [masses[atoms <= cut].sum() for cut in cuts])
+    mean = rejection.mean(axis=0)
+    se = rejection.std(axis=0, ddof=1) / np.sqrt(datasets)
+    details = [f"{m:.4f}<= {a}+3*{s:.4f}" for m, a, s in zip(mean, alphas, se)]
+    verdict(10, f"exact conditional rejection over {datasets} datasets: " + ", ".join(details),
+            bool(np.all(mean <= np.array(alphas) + 3 * se)))

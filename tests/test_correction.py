@@ -23,7 +23,7 @@ from orderpv.correction import (
     tail_ratio,
 )
 
-from oracles import apply_both_branches, exact_knee
+from oracles import apply_both_branches, exact_knee, exact_upper_tail, upper_tail_mp
 
 # Solved to 1e-12 by the root finder here; the published reference rounds it to 1.846.
 SLOPE_1000_500 = 1.8463229261629466
@@ -253,6 +253,39 @@ class TestInvert:
         mask = f < 1.0 - 1e-9
         assert np.max(np.abs(spec.invert(f[mask]) - u[mask])) <= 1e-9
         assert spec.invert(1.0) == 1.0
+
+
+class TestDigitOracle:
+    """The tail, slope, tail branch and round trip against a 50-digit tail, for n <= 10**4.
+
+    Up to n = 10**4 every error is inside the 1e-12 contract; beyond it, at
+    small k, the tail misses it (about 1.5e-12 at n = 10**5).
+    """
+
+    FACTORS = (0.5, 0.9, 1.0, 1.1, 1.5, 3.0, 10.0)
+
+    @pytest.mark.parametrize("n,k,p_num,p_den",
+                             [(10, 3, 3, 10), (10, 8, 3, 10), (60, 59, 9, 10), (137, 43, 7, 16),
+                              (137, 100, 7, 16), (200, 1, 1, 128), (7, 7, 1, 2)])
+    def test_oracle_matches_exact_rationals(self, n, k, p_num, p_den):
+        # both summation directions, on both sides of n/2
+        assert upper_tail_mp(n, k, p_num / p_den) == pytest.approx(
+            exact_upper_tail(n, k, p_num, p_den), abs=1e-15)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (1000, 10_000)
+                                     for k in (2, 3, 5, 10, 30, 100, (n + 1) // 2)])
+    def test_within_contract_around_the_knee(self, n, k):
+        spec = CombinerSpec.solve(n, k)
+        u = np.minimum(spec.knee * np.array(self.FACTORS), 1.0)
+        exact = np.array([upper_tail_mp(n, k, x) for x in u])
+        assert np.max(np.abs(binom_upper_tail(n, k, u) - exact)) <= 1e-12
+        beyond = u > spec.knee
+        assert np.max(np.abs(spec.apply(u[beyond]) - exact[beyond])) <= 1e-12
+        assert spec.slope == pytest.approx(exact[self.FACTORS.index(1.0)] / spec.knee,
+                                           rel=1e-12, abs=0.0)
+        alpha = exact[exact > spec.slope * spec.knee]
+        assert alpha.size >= 3
+        assert np.max(np.abs(spec.apply(spec.invert(alpha)) - alpha)) <= 1e-12
 
 
 class TestEnvelope:

@@ -59,6 +59,16 @@ class TestGroupedDataset:
         with pytest.raises(ValueError):
             GroupedDataset([[1], []])
 
+    def test_array_of_groups_is_read_as_its_list(self):
+        rows = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+        listed, array = GroupedDataset(rows), GroupedDataset(np.array(rows))
+        assert (array.m, array.sizes, array.total) == (listed.m, listed.sizes, listed.total)
+        assert np.array_equal(subsample_pvalues(array, rank_sum_test, 50, seed=3),
+                              subsample_pvalues(listed, rank_sum_test, 50, seed=3))
+        for empty in ([], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="need at least one group"):
+                GroupedDataset(empty)
+
     def test_rejects_observations_that_cannot_be_stacked(self):
         with pytest.raises(ValueError, match="group 1"):
             GroupedDataset([[np.zeros(4, np.int8)], [np.ones(5, np.int8)]])
