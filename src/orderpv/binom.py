@@ -64,8 +64,8 @@ def _upper_tail(n, k, p):
     """P(Bin(n, p) >= k) = I_p(k, n - k + 1), unchecked; `k` may be an array.
 
     The package's one evaluation of the binomial tail: `binom_upper_tail`,
-    the correction's tail branch, knee search and slope, and the validity
-    verdict all call it.  Its absolute error is checked within 1e-12 of a
+    the correction's tail branch, knee search and slope, the validity
+    verdict and the worst-case kernel's atom-count table all call it.  Its absolute error is checked within 1e-12 of a
     50-digit oracle for n <= 10**4.  Beyond that, for small k, ``betainc``
     loses about n * eps: about 1.5e-12 at n = 10**5 and 1.1e-9 at n = 10**8
     (ROADMAP.md, "The correction meets its 1e-12 contract at every n").

@@ -73,6 +73,17 @@ class GroupedDataset:
         object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_offsets", np.cumsum(sizes) - sizes)
 
+    def __eq__(self, other):
+        """Equal when the groups hold equal observations, group by group.
+
+        The stacked data and group sizes are compared, not `groups`, which
+        may be an array that gives no single truth value.
+        """
+        if not isinstance(other, GroupedDataset):
+            return NotImplemented
+        return (np.array_equal(self._sizes, other._sizes)
+                and np.array_equal(self._stacked, other._stacked))
+
     @property
     def m(self):
         return self._sizes.size

@@ -10,9 +10,14 @@ smaller.
 
 Kernels are callables ``kernel(rng, size) -> (size,) array``: each value is
 the k-th smallest of n conditionally i.i.d. p-values of one replication.
-`adversarial_kernel` draws it from its closed law at O(1) cost per
-replication, whatever n; `uniform_kernel` draws the n uniforms and selects
-the k-th, and refuses a call whose (size, n) matrix would hold more than
+`adversarial_kernel` draws it from its closed law in O(1) memory per
+replication, whatever n: the atom count A ~ Bin(n, t) by inverting a table
+of P(A <= a), a < k, built once from `binom._upper_tail` (at most
+`_CDF_ENTRIES` entries; above that, every s-th entry, with a bisection
+between them that gives the same A for a given uniform), so the draw is
+exact up to the tail's own error and uses only `Generator.random` and
+`Generator.beta`.  `uniform_kernel` draws the n uniforms and selects the
+k-th, and refuses a call whose (size, n) matrix would hold more than
 `MAX_CHUNK_VALUES` draws.  Replications run serially in the fixed-size
 blocks of `rngs.blocks`, each on its own counter-derived stream, and the
 per-block tallies are summed, so a report depends only on the plan.
@@ -40,6 +45,11 @@ SIGMA_RULE = 3.0
 # n is at most 8192.  `adversarial_kernel` holds O(1) per replication and
 # needs no bound.
 MAX_CHUNK_VALUES = 2**27
+
+# Entries of P(A <= a) one worst-case kernel keeps (at least 2): 2**16
+# float64 values are 512 KiB.  With k above it, the table keeps every s-th
+# entry and the last, s = ceil((k - 1) / (_CDF_ENTRIES - 1)).
+_CDF_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,47 @@ class SimReport:
             yield float(a), float(e), float(s), v
 
 
+def _atom_count(n, t, k):
+    """v -> min(A, k) for A ~ Bin(n, t), by inversion of uniforms v in [0, 1).
+
+    A = min{a : P(A <= a) > v}, with k standing for every A >= k, which is
+    all a kernel of the k-th value needs.  P(A <= a) is P(Bin(n, 1 - t) >=
+    n - a) through `_upper_tail`, whose complement form keeps the lower
+    tail accurate; the law of A is exact up to that tail's error (about
+    1e-10 at n = 10**7 for small k).  The table holds P(A <= a) at a = 0,
+    s, 2s, ... and at a = k - 1, at most `_CDF_ENTRIES` values; with s > 1,
+    a v that falls strictly inside a gap is placed by ceil(log2 s)
+    bisection steps on the same tail values, so A does not depend on s
+    (given a tail non-decreasing in a).  t = 0 gives A = 0 and t = 1 gives k.
+    """
+    stride = max(1, -(-(k - 1) // (_CDF_ENTRIES - 1)))
+
+    def cdf(a):
+        return _upper_tail(n, n - a, 1.0 - t)
+
+    table = cdf(np.append(np.arange(0, k - 1, stride), k - 1))
+
+    def count(v):
+        hits = np.searchsorted(table, v, side="right")
+        if stride == 1:
+            return hits
+        # entry j is at a = j * stride, the last at k - 1; past it, A >= k
+        inside = hits < table.size
+        atoms = np.where(inside, np.minimum(hits * stride, k - 1), k)
+        # P(A <= lo) <= v < P(A <= hi): A lies in (lo, hi]
+        rows = np.flatnonzero((hits > 0) & inside)
+        lo, hi, w = (hits[rows] - 1) * stride, atoms[rows], v[rows]
+        for _ in range((stride - 1).bit_length()):
+            mid = (lo + hi) // 2
+            below = cdf(mid) <= w
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        atoms[rows] = hi
+        return atoms
+
+    return count
+
+
 def adversarial_kernel(n, t, k=None):
     """Worst-case kernel at atom weight t: (rng, size) -> (size,) k-th smallest values.
 
@@ -104,8 +155,13 @@ def adversarial_kernel(n, t, k=None):
     [t, 1].  Its k-th smallest value U_(k) is drawn directly: A ~ Bin(n, t)
     values sit on the atom, so U_(k) = x*t if A >= k, and otherwise the
     (k-A)-th smallest of n-A uniforms on [t, 1], t + (1-t) * Beta(k-A, n-k+1).
-    A call draws one binomial and one uniform per replication and one beta
-    per replication with A < k, so its cost and memory do not depend on n.
+    A call draws one uniform v per replication, which sets A by inverting
+    the binomial CDF (`_atom_count`), then one uniform x per replication,
+    then one beta per replication with A < k, in that order.  Its memory
+    per replication does not depend on n, and the factory keeps a table of
+    at most `_CDF_ENTRIES` CDF values.  Its cost does not depend on n
+    either while k <= `_CDF_ENTRIES`; above, a replication whose v falls
+    between two table entries costs ceil(log2 s) more tail evaluations.
 
     `n` must be an integer >= 1; `k` defaults to `default_k(n)`.
     """
@@ -114,9 +170,10 @@ def adversarial_kernel(n, t, k=None):
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     t = float(t)
+    atom_count = _atom_count(n, t, k)
 
     def kernel(rng, size):
-        atoms = rng.binomial(n, t, size)
+        atoms = atom_count(rng.random(size))
         u = rng.random(size)
         u *= t
         free = np.flatnonzero(atoms < k)

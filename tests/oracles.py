@@ -6,6 +6,7 @@ exact rational arithmetic, direct summation, brute-force enumeration.
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import mpmath
@@ -179,12 +180,18 @@ def gale_ryser_feasible(row_sums, col_sums):
     return all(sum(rows[:m]) <= sum(min(x, m) for x in cols) for m in range(1, len(rows) + 1))
 
 
+@cache
 def rank_sum_null_cdf_bruteforce(m1, m):
-    """P(rank sum of a uniform m1-subset of 1..m <= w), by enumeration."""
+    """P(rank sum of a uniform m1-subset of 1..m <= w), by enumeration.
+
+    Enumerated once per (m1, m); every caller shares the read-only result.
+    """
     sums = [sum(sub) for sub in itertools.combinations(range(1, m + 1), m1)]
     sums = np.asarray(sums)
     max_sum = m * (m + 1) // 2
-    return np.array([(sums <= w).mean() for w in range(max_sum + 1)])
+    cdf = np.array([(sums <= w).mean() for w in range(max_sum + 1)])
+    cdf.flags.writeable = False
+    return cdf
 
 
 def mann_whitney_null_pmf(a, b):

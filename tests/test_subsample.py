@@ -69,6 +69,17 @@ class TestGroupedDataset:
             with pytest.raises(ValueError, match="need at least one group"):
                 GroupedDataset(empty)
 
+    def test_equality_compares_the_observations(self):
+        # the generated comparison raised numpy's "truth value of an array
+        # is ambiguous" for two datasets built from arrays
+        rows = [[0.1, 0.2], [0.3, 0.4]]
+        assert GroupedDataset(np.array(rows)) == GroupedDataset(np.array(rows))
+        assert GroupedDataset(np.array(rows)) == GroupedDataset(rows)
+        assert GroupedDataset(np.array(rows)) != GroupedDataset(np.array([[0.1, 0.2], [0.3, 0.5]]))
+        assert GroupedDataset([[0.1, 0.2, 0.3], [0.4]]) != GroupedDataset([[0.1, 0.2], [0.3, 0.4]])
+        assert GroupedDataset([["a"], ["b"]]) != GroupedDataset([[1], [2]])
+        assert GroupedDataset(rows) != rows
+
     def test_rejects_observations_that_cannot_be_stacked(self):
         with pytest.raises(ValueError, match="group 1"):
             GroupedDataset([[np.zeros(4, np.int8)], [np.ones(5, np.int8)]])

@@ -112,15 +112,34 @@ class TestUniformKernel:
 def _replayed(n, k, t, seed, size):
     """The worst-case k-th value rebuilt from the declared stream layout.
 
-    One binomial atom count and one uniform x per replication, then one beta
-    per replication with fewer than k atoms, in that order.
+    One uniform v per replication, whose inversion through the full table of
+    P(A <= a), a < k, gives the atom count A (k standing for A >= k); then
+    one uniform x per replication; then one beta per replication with fewer
+    than k atoms, in that order.
     """
     rng = np.random.default_rng(seed)
-    atoms = rng.binomial(n, t, size)
+    a = np.arange(k)
+    atoms = np.searchsorted(special.betainc(n - a, a + 1, 1.0 - t), rng.random(size), side="right")
     out = rng.random(size) * t
     free = atoms < k
     out[free] = t + (1.0 - t) * rng.beta(k - atoms[free], n - k + 1)
     return out
+
+
+def _pooled(observed, expected, least=5.0):
+    """Adjacent cells merged left to right until each expects `least`; a short last joins its neighbour."""
+    obs, exp = [0], [0.0]
+    for o, e in zip(observed, expected):
+        if exp[-1] >= least:
+            obs.append(0)
+            exp.append(0.0)
+        obs[-1] += o
+        exp[-1] += e
+    if exp[-1] < least and len(exp) > 1:
+        short_obs, short_exp = obs.pop(), exp.pop()
+        obs[-1] += short_obs
+        exp[-1] += short_exp
+    return np.array(obs), np.array(exp)
 
 
 def _exact_orderstat_cdf(n, k, t, q):
@@ -137,10 +156,11 @@ class TestAdversarialKernel:
         # t = 1: every value of a replication is its atom x, so the k-th is x
         rng, ref = np.random.default_rng(0), np.random.default_rng(0)
         free = adversarial_kernel(6, 0.0)(rng, 5)
-        ref.random(5)  # x; the binomial draws nothing at t = 0
+        ref.random(5)  # v: A = 0 for every v at t = 0
+        ref.random(5)  # x
         assert free.shape == (5,) and np.array_equal(free, ref.beta(3, 4, 5))
         pinned = adversarial_kernel(6, 1.0)(rng, 5)
-        ref.binomial(6, 1.0, 5)  # A = n: every value is on the atom
+        ref.random(5)  # v: A = n for every v at t = 1
         assert np.array_equal(pinned, ref.random(5))
 
     def test_kernel_matches_draw_shape(self):
@@ -222,6 +242,56 @@ class TestAdversarialKernel:
         finally:
             tracemalloc.stop()
         assert peak < 48 * size + 16 * 1024, peak / size
+
+    @pytest.mark.parametrize("n,k,t,seed", [(10, 5, None, 0), (1000, 500, None, 1),
+                                            (200, 100, 0.05, 2)])
+    def test_atom_count_follows_the_binomial_law(self, n, k, t, seed):
+        # chi-squared test of min(A, k) against the exact Bin(n, t) pmf at
+        # Phi(-3); adjacent cells are pooled until each expects at least 5
+        if t is None:
+            t = solve_combiner(n, k).knee
+        reps = 200_000
+        atoms = validity._atom_count(n, t, k)(np.random.default_rng(seed).random(reps))
+        observed = np.bincount(atoms, minlength=k + 1)
+        expected = reps * np.append(stats.binom.pmf(np.arange(k), n, t), stats.binom.sf(k - 1, n, t))
+        cells = _pooled(observed, expected)
+        assert len(cells[0]) >= 5
+        assert stats.chisquare(*cells).pvalue > stats.norm.cdf(-3.0)
+
+    @pytest.mark.parametrize("n,k,cap", [(10**5, 5 * 10**4, 2), (10**5, 5 * 10**4, 7),
+                                         (10**5, 5 * 10**4, 1000), (37, 3, 2),
+                                         (1000, 500, 3), (1000, 500, 7)])
+    def test_strided_table_draws_the_same_atoms(self, n, k, cap, monkeypatch):
+        # with the table capped, a v between two entries is bisected on the
+        # same tail values, so A and the whole draw match the full table's;
+        # v also takes the tail values themselves, where side="right" matters
+        t = solve_combiner(n, k).knee
+        a = np.arange(k)
+        edges = special.betainc(n - a, a + 1, 1.0 - t)
+        v = np.concatenate([np.random.default_rng(k).random(5000), edges[edges < 1.0]])
+        full, kern = validity._atom_count(n, t, k), adversarial_kernel(n, t, k)
+        monkeypatch.setattr(validity, "_CDF_ENTRIES", cap)
+        assert np.array_equal(validity._atom_count(n, t, k)(v), full(v))
+        strided = adversarial_kernel(n, t, k)(np.random.default_rng(n), 5000)
+        assert strided.tobytes() == kern(np.random.default_rng(n), 5000).tobytes()
+
+    def test_table_is_capped_at_large_n(self):
+        # at n = 10**10 the table keeps every s-th of k = 5 * 10**9 entries:
+        # the kernel holds at most _CDF_ENTRIES values, and a block, half of
+        # whose rows bisect at t = 0.5, adds only per-replication scratch
+        n, k, size = 10**10, 5 * 10**9, 1024
+        tracemalloc.start()
+        try:
+            kern = adversarial_kernel(n, 0.5, k)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = kern(np.random.default_rng(0), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 8 * validity._CDF_ENTRIES + 4096, kept
+        assert peak - kept < 96 * size + 16 * 1024, (peak - kept) / size
+        assert out.shape == (size,) and np.all((out >= 0.0) & (out <= 1.0))
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
@@ -334,27 +404,29 @@ class TestCheckValidity:
         assert one.verdict == again.verdict
 
     # Hit counts on the default grid against the worst-case kernel at the
-    # knee, recorded with the direct sampler of the k-th value (one binomial
-    # atom count, one uniform x, and a beta for each replication with fewer
-    # than k atoms).  Every grid point lies below slope * knee, where the
-    # exact CDF is alpha; every count is within 2.3 standard errors of
-    # alpha * reps.
+    # knee, recorded with the direct sampler of the k-th value: one uniform v
+    # inverted through the cached table of P(A <= a), a < k, for the atom
+    # count A (at most 2**16 entries, with the same A at any stride, and A's
+    # law exact up to the binomial tail's error), one uniform x, and a beta
+    # for each replication with fewer than k atoms.  Every grid point lies
+    # below slope * knee, where the exact CDF is alpha; every count is within
+    # 2.1 standard errors of alpha * reps.
     RECORDED_HITS = {
         (10, 5, 100_000): {
-            0: [2556, 4956, 7437, 9948, 12394, 14906, 17426, 19918, 22444, 24958,
-                27509, 30034, 32495, 35006, 37571, 40131, 42619, 45174, 47635, 50129],
-            1: [2474, 4989, 7571, 10128, 12597, 15086, 17622, 20061, 22532, 24985,
-                27428, 29952, 32454, 34938, 37353, 39900, 42456, 44994, 47501, 49989],
-            2: [2489, 5027, 7467, 9935, 12446, 14929, 17473, 19900, 22453, 24987,
-                27480, 29909, 32378, 34845, 37282, 39765, 42247, 44833, 47331, 49839],
+            0: [2534, 4953, 7421, 9931, 12398, 14916, 17440, 19911, 22456, 24993,
+                27532, 30071, 32513, 35060, 37584, 40129, 42631, 45173, 47651, 50155],
+            1: [2449, 4929, 7518, 10057, 12491, 15014, 17568, 20056, 22559, 25061,
+                27516, 30028, 32487, 34952, 37369, 39951, 42505, 45057, 47572, 50028],
+            2: [2517, 5048, 7475, 9979, 12486, 14943, 17470, 19945, 22492, 25023,
+                27523, 29984, 32458, 34946, 37375, 39883, 42351, 44911, 47384, 49902],
         },
         (1000, 500, 4096): {
-            0: [93, 201, 293, 374, 469, 587, 673, 762, 866, 965,
-                1069, 1173, 1277, 1381, 1514, 1613, 1710, 1810, 1910, 2026],
-            1: [113, 216, 315, 416, 511, 620, 733, 853, 947, 1043,
-                1149, 1246, 1353, 1437, 1546, 1637, 1724, 1844, 1955, 2056],
-            2: [89, 192, 296, 411, 511, 620, 717, 830, 925, 1016,
-                1138, 1246, 1352, 1452, 1561, 1668, 1775, 1887, 1988, 2084],
+            0: [104, 199, 306, 421, 543, 645, 749, 862, 964, 1060,
+                1139, 1238, 1343, 1450, 1547, 1642, 1749, 1862, 1976, 2106],
+            1: [107, 219, 324, 424, 527, 629, 720, 831, 935, 1043,
+                1144, 1251, 1351, 1468, 1587, 1690, 1806, 1890, 1987, 2106],
+            2: [98, 196, 300, 426, 547, 645, 738, 844, 942, 1044,
+                1149, 1269, 1385, 1482, 1598, 1696, 1791, 1894, 1993, 2082],
         },
     }
 
@@ -363,9 +435,11 @@ class TestCheckValidity:
         spec = solve_combiner(n, k)
         assert DEFAULT_ALPHA_GRID[-1] <= spec.slope * spec.knee
         kern = adversarial_kernel(n, spec.knee)
+        alpha = DEFAULT_ALPHA_GRID
         for seed, hits in self.RECORDED_HITS[n, k, reps].items():
             report = check_validity(SimConfig(n=n, k=k, reps=reps, seed=seed), spec.apply, kern)
             assert np.array_equal(report.empirical_cdf, np.array(hits) / reps)
+            assert np.all(np.abs(np.array(hits) - alpha * reps) <= 3 * np.sqrt(reps * alpha * (1 - alpha)))
 
     # the serial loop keeps one block in flight, so at most one is pulled
     # before the kernel's first draw
