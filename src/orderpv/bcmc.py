@@ -105,8 +105,9 @@ def _advance(work, steps, rng, score=None):
     microseconds whatever its size, and on a 40x20 chain
     about one step in ten is accepted.  Scored one state at a time, the
     statistic took about 80 % of such a chain's time; in stacks it takes
-    about half: 10**4 steps took 2.1 ms without scoring, 2.7 ms with a
-    statistic that costs nothing, and 5.9 ms with `checkerboard_score`.
+    a little under half: 10**4 steps took 2.2 ms without scoring, 2.7 ms
+    with a statistic that costs nothing, and 4.8 ms with
+    `checkerboard_score`.
     """
     if steps <= 0:
         return
@@ -178,34 +179,29 @@ def checkerboard_score(mats):
     microseconds whatever its size: on a 2-core x86 host about 1000 states
     of 40x20 took 2.3 ms in stacks of 40 and 12.5 ms one by one.
 
-    No c x c array of the differences is built.  With O = X^T X the column
-    overlaps of an r x c matrix X, s = diag(O) its column sums and N = sum(s)
-    its ones, the sum over the c(c-1) ordered column pairs is
+    With M = X^T (1 - X) for an r x c matrix X, M[j, j'] counts the rows
+    that have column j but not column j': it is s[j] - O[j, j'], with s the
+    column sums and O = X^T X the column overlaps, and M[j, j] = 0.  The
+    sum over the c(c-1) ordered column pairs is then
 
-        c(c-1) * score = N**2 - 2 * sum_j' (sum_j O[j, j']) * s[j'] + sum_jj' O[j, j']**2,
+        c(c-1) * score = sum_jj' M[j, j'] * M[j', j],
 
-    since a pair j = j' adds nothing (O[j, j] = s[j]).  O is one BLAS
-    `np.matmul` of a C-contiguous copy of the transposed stack with the
-    stack: numpy has no BLAS path for int64, and BLAS multiplies the
-    transposed view more slowly than the copy.  For 0/1 entries it is
-    exact, as every entry and partial sum is an integer count of at most
-    r: in float32 below 2**24 rows, which halves the temporaries, and in
-    float64 from there.  It is cast to int64 before the reductions, where
-    each term is at most 2 * (r * c)**2, so the numerator is exact for
-    r * c < 2**31 and each score is the same float as with the all-int64
-    sum of the products, whatever stack the matrix is in.
+    as a pair j = j' adds nothing.  M is one BLAS `np.matmul` of the
+    transposed stack with its complement (numpy has no BLAS path for
+    int64).  For 0/1 entries it is exact, as every entry and partial sum is
+    an integer count of at most r: in float32 below 2**24 rows, which
+    halves the temporaries, and in float64 from there.  It is cast to int64
+    before the sum, where each term is at most r**2, so the numerator is
+    exact for r * c < 2**31 and each score is the same float as with the
+    all-int64 sum of the products, whatever stack the matrix is in.
     """
     e = mats.entries if isinstance(mats, BinaryMatrix) else np.asarray(mats)
     c = e.shape[-1]
     if c < 2:
         raise ValueError("need at least 2 columns")
     f = e.astype(np.float32 if e.shape[-2] < _FLOAT32_EXACT_ROWS else np.float64)
-    overlap = np.matmul(np.ascontiguousarray(f.swapaxes(-1, -2)), f).astype(np.int64)
-    col = np.diagonal(overlap, axis1=-2, axis2=-1)
-    ones = col.sum(axis=-1)
-    cross = np.einsum("...ij,...j->...", overlap, col)
-    square = np.einsum("...ij,...ij->...", overlap, overlap)
-    return (ones * ones - 2 * cross + square) / (c * (c - 1))
+    only = np.matmul(f.swapaxes(-1, -2), 1 - f).astype(np.int64)
+    return np.einsum("...ij,...ji->...", only, only) / (c * (c - 1))
 
 
 @dataclass(frozen=True)

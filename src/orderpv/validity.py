@@ -16,8 +16,10 @@ of P(A <= a), a < k, built once from `binom._upper_tail` (at most
 `_CDF_ENTRIES` entries; above that, every s-th entry, with a bisection
 between them that gives the same A for a given uniform), so the draw is
 exact up to the tail's own error and uses only `Generator.random` and
-`Generator.beta`.  `uniform_kernel` draws the n uniforms and selects the
-k-th, and refuses a call whose (size, n) matrix would hold more than
+`Generator.beta`.  Only the rows whose uniform lies below P(A <= k - 1),
+the rows with A < k, are inverted (and bisected); the others are atom
+rows.  `uniform_kernel` draws the n uniforms and selects the k-th, and
+refuses a call whose (size, n) matrix would hold more than
 `MAX_CHUNK_VALUES` draws.  Replications run serially in the fixed-size
 blocks of `rngs.blocks`, each on its own counter-derived stream, and the
 per-block tallies are summed, so a report depends only on the plan.
@@ -107,17 +109,19 @@ class SimReport:
 
 
 def _atom_count(n, t, k):
-    """v -> min(A, k) for A ~ Bin(n, t), by inversion of uniforms v in [0, 1).
+    """P(A <= k - 1) and v -> A for A ~ Bin(n, t), by inversion of uniforms v below it.
 
-    A = min{a : P(A <= a) > v}, with k standing for every A >= k, which is
-    all a kernel of the k-th value needs.  P(A <= a) is P(Bin(n, 1 - t) >=
-    n - a) through `_upper_tail`, whose complement form keeps the lower
-    tail accurate; the law of A is exact up to that tail's error (about
-    1e-10 at n = 10**7 for small k).  The table holds P(A <= a) at a = 0,
-    s, 2s, ... and at a = k - 1, at most `_CDF_ENTRIES` values; with s > 1,
-    a v that falls strictly inside a gap is placed by ceil(log2 s)
-    bisection steps on the same tail values, so A does not depend on s
-    (given a tail non-decreasing in a).  t = 0 gives A = 0 and t = 1 gives k.
+    A = min{a : P(A <= a) > v}.  A v >= P(A <= k - 1), the table's last
+    entry, means A >= k, which is all a kernel of the k-th value needs, so
+    `count` takes only the v below that entry and never returns k.
+    P(A <= a) is P(Bin(n, 1 - t) >= n - a) through `_upper_tail`, whose
+    complement form keeps the lower tail accurate; the law of A is exact up
+    to that tail's error (about 1e-10 at n = 10**7 for small k).  The table
+    holds P(A <= a) at a = 0, s, 2s, ... and at a = k - 1, at most
+    `_CDF_ENTRIES` values; with s > 1, a v that falls strictly inside a gap
+    is placed by ceil(log2 s) bisection steps on the same tail values, so A
+    does not depend on s (given a tail non-decreasing in a).  t = 0 gives
+    A = 0; at t = 1 the last entry is 0, so no v is below it.
     """
     stride = max(1, -(-(k - 1) // (_CDF_ENTRIES - 1)))
 
@@ -130,11 +134,10 @@ def _atom_count(n, t, k):
         hits = np.searchsorted(table, v, side="right")
         if stride == 1:
             return hits
-        # entry j is at a = j * stride, the last at k - 1; past it, A >= k
-        inside = hits < table.size
-        atoms = np.where(inside, np.minimum(hits * stride, k - 1), k)
+        # entry j is at a = j * stride, the last at k - 1, and v < table[-1]
+        atoms = np.minimum(hits * stride, k - 1)
         # P(A <= lo) <= v < P(A <= hi): A lies in (lo, hi]
-        rows = np.flatnonzero((hits > 0) & inside)
+        rows = np.flatnonzero(hits)
         lo, hi, w = (hits[rows] - 1) * stride, atoms[rows], v[rows]
         for _ in range((stride - 1).bit_length()):
             mid = (lo + hi) // 2
@@ -144,7 +147,7 @@ def _atom_count(n, t, k):
         atoms[rows] = hi
         return atoms
 
-    return count
+    return table[-1], count
 
 
 def adversarial_kernel(n, t, k=None):
@@ -155,13 +158,15 @@ def adversarial_kernel(n, t, k=None):
     [t, 1].  Its k-th smallest value U_(k) is drawn directly: A ~ Bin(n, t)
     values sit on the atom, so U_(k) = x*t if A >= k, and otherwise the
     (k-A)-th smallest of n-A uniforms on [t, 1], t + (1-t) * Beta(k-A, n-k+1).
-    A call draws one uniform v per replication, which sets A by inverting
-    the binomial CDF (`_atom_count`), then one uniform x per replication,
-    then one beta per replication with A < k, in that order.  Its memory
-    per replication does not depend on n, and the factory keeps a table of
-    at most `_CDF_ENTRIES` CDF values.  Its cost does not depend on n
-    either while k <= `_CDF_ENTRIES`; above, a replication whose v falls
-    between two table entries costs ceil(log2 s) more tail evaluations.
+    A call draws one uniform v per replication, then one uniform x per
+    replication, then one beta per replication with A < k, in that order.
+    A >= k exactly where v >= P(A <= k - 1), the last entry of the table of
+    the binomial CDF, so only the rows with v below it are inverted
+    (`_atom_count`) to set A.  Its memory per replication does not depend
+    on n, and the factory keeps a table of at most `_CDF_ENTRIES` CDF
+    values.  Its cost does not depend on n either while k <=
+    `_CDF_ENTRIES`; above, a replication whose v falls between two table
+    entries costs ceil(log2 s) more tail evaluations.
 
     `n` must be an integer >= 1; `k` defaults to `default_k(n)`.
     """
@@ -170,14 +175,14 @@ def adversarial_kernel(n, t, k=None):
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     t = float(t)
-    atom_count = _atom_count(n, t, k)
+    last, atom_count = _atom_count(n, t, k)
 
     def kernel(rng, size):
-        atoms = atom_count(rng.random(size))
+        v = rng.random(size)
         u = rng.random(size)
         u *= t
-        free = np.flatnonzero(atoms < k)
-        u[free] = t + (1.0 - t) * rng.beta(k - atoms[free], n - k + 1)
+        free = np.flatnonzero(v < last)
+        u[free] = t + (1.0 - t) * rng.beta(k - atom_count(v[free]), n - k + 1)
         return u
 
     kernel.nk = (n, k)

@@ -221,11 +221,13 @@ def subsample_rank_sum_law(groups):
     m, m1 = len(groups), len(groups) // 2
     picks = np.indices(sizes).reshape(m, -1)
     x = np.stack([np.asarray(g, dtype=float)[i] for g, i in zip(groups, picks)], axis=1)
-    below = (x[:, None, :] < x[:, :m1, None]).sum(axis=(1, 2))
+    below = np.count_nonzero(x[:, None, :] < x[:, :m1, None], axis=(1, 2))
     equal = x[:, :, None] == x[:, None, :]
-    pairs_in_first = (equal[:, :m1, :m1].sum(axis=(1, 2)) - m1) // 2
+    pairs_in_first = (np.count_nonzero(equal[:, :m1, :m1], axis=(1, 2)) - m1) // 2
     base = m1 + below + pairs_in_first
-    c, a = equal.sum(axis=2), equal[:, :, :m1].sum(axis=2)
+    # equal is symmetric, so each column's class counts are taken down axis 1,
+    # which numpy reduces faster than the short last axis
+    c, a = np.count_nonzero(equal, axis=1), np.count_nonzero(equal[:, :m1], axis=1)
     # every column of a class carries the class's (a, c), so the sorted codes
     # name the pick's multiset of classes; each row is made one void scalar,
     # which np.unique sorts far faster than rows along axis 0

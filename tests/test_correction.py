@@ -222,6 +222,26 @@ class TestApply:
         assert np.array_equal(spec.apply(u), expected)
         assert all(spec.apply(e) == x for e, x in zip(edges, expected))
 
+    @pytest.mark.parametrize("n,k", [(1, 1), (10, 1), (10, 10), (10, 5), (37, 3), (1000, 500)])
+    def test_vector_is_the_scalar_apply_of_each_entry(self, n, k):
+        # values on both branches and at the knee exactly land in their own
+        # slots; a 2-d input keeps its shape and an empty one stays empty
+        spec = CombinerSpec.solve(n, k)
+        rng = np.random.default_rng(n + k)
+        knee = spec.knee
+        u = np.concatenate([[0.0, knee, np.nextafter(knee, 0.0), np.nextafter(knee, 1.0), 1.0],
+                            knee * rng.random(40), knee + (1.0 - knee) * rng.random(40)])
+        u = rng.permutation(np.clip(u, 0.0, 1.0))
+        if knee < 1.0:
+            assert 0 < np.count_nonzero(u > knee) < u.size
+        out = spec.apply(u)
+        assert out.tobytes() == np.array([spec.apply(float(x)) for x in u]).tobytes()
+        square = spec.apply(u.reshape(5, 17))
+        assert square.shape == (5, 17) and square.tobytes() == out.tobytes()
+        for empty in (np.empty(0), np.empty((0, 3))):
+            got = spec.apply(empty)
+            assert isinstance(got, np.ndarray) and got.shape == empty.shape
+
     def test_rejects_out_of_range(self):
         spec = CombinerSpec.solve(4, 2)
         with pytest.raises(ValueError):

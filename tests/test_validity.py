@@ -126,6 +126,30 @@ def _replayed(n, k, t, seed, size):
     return out
 
 
+class _FirstDraws(np.random.Generator):
+    """PCG64(seed), except that the first `random` call returns a copy of `first`."""
+
+    def __init__(self, seed, first):
+        super().__init__(np.random.PCG64(seed))
+        self.first = first
+
+    def random(self, size=None):
+        if self.first is None:
+            return super().random(size)
+        assert size == self.first.size
+        first, self.first = self.first, None
+        return first.copy()
+
+
+def _min_atoms(n, t, k, v):
+    """min(A, k) for uniforms v: `validity._atom_count` on the v below its last entry, k elsewhere."""
+    last, count = validity._atom_count(n, t, k)
+    atoms = np.full(v.shape, k)
+    free = v < last
+    atoms[free] = count(v[free])
+    return atoms
+
+
 def _pooled(observed, expected, least=5.0):
     """Adjacent cells merged left to right until each expects `least`; a short last joins its neighbour."""
     obs, exp = [0], [0.0]
@@ -251,7 +275,7 @@ class TestAdversarialKernel:
         if t is None:
             t = solve_combiner(n, k).knee
         reps = 200_000
-        atoms = validity._atom_count(n, t, k)(np.random.default_rng(seed).random(reps))
+        atoms = _min_atoms(n, t, k, np.random.default_rng(seed).random(reps))
         observed = np.bincount(atoms, minlength=k + 1)
         expected = reps * np.append(stats.binom.pmf(np.arange(k), n, t), stats.binom.sf(k - 1, n, t))
         cells = _pooled(observed, expected)
@@ -269,11 +293,33 @@ class TestAdversarialKernel:
         a = np.arange(k)
         edges = special.betainc(n - a, a + 1, 1.0 - t)
         v = np.concatenate([np.random.default_rng(k).random(5000), edges[edges < 1.0]])
-        full, kern = validity._atom_count(n, t, k), adversarial_kernel(n, t, k)
+        full, kern = _min_atoms(n, t, k, v), adversarial_kernel(n, t, k)
         monkeypatch.setattr(validity, "_CDF_ENTRIES", cap)
-        assert np.array_equal(validity._atom_count(n, t, k)(v), full(v))
+        assert np.array_equal(_min_atoms(n, t, k, v), full)
         strided = adversarial_kernel(n, t, k)(np.random.default_rng(n), 5000)
         assert strided.tobytes() == kern(np.random.default_rng(n), 5000).tobytes()
+
+    @pytest.mark.parametrize("n,k,t,cap", [(10, 5, None, None), (10, 1, 0.3, None),
+                                           (10, 10, 0.3, None), (37, 3, None, None),
+                                           (37, 3, None, 2), (1000, 500, None, 7),
+                                           (10**5, 5 * 10**4, None, 1000)])
+    def test_table_values_and_their_neighbours(self, n, k, t, cap, monkeypatch):
+        # v is each P(A <= a), a < k, and the doubles next to it: A steps up
+        # exactly at a table value, and v = P(A <= k - 1) is an atom row
+        if t is None:
+            t = solve_combiner(n, k).knee
+        if cap is not None:
+            monkeypatch.setattr(validity, "_CDF_ENTRIES", cap)
+        a = np.arange(k)
+        edges = special.betainc(n - a, a + 1, 1.0 - t)
+        v = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        v = v[v < 1.0]
+        out = adversarial_kernel(n, t, k)(_FirstDraws(n, v), v.size)
+        assert out.tobytes() == _replayed(n, k, t, _FirstDraws(n, v), v.size).tobytes()
+        atom = v >= edges[-1]
+        assert np.count_nonzero(v == edges[-1]) and np.count_nonzero(~atom)
+        x = np.random.default_rng(n).random(v.size)
+        assert np.array_equal(out[atom], x[atom] * t)
 
     def test_table_is_capped_at_large_n(self):
         # at n = 10**10 the table keeps every s-th of k = 5 * 10**9 entries:
