@@ -28,6 +28,8 @@ _BLOCK = 8192  # index draws are pre-generated in blocks of this many steps
 _STACK_BYTES = 2**15
 # Below this many rows the checkerboard overlap counts are exact in float32.
 _FLOAT32_EXACT_ROWS = 2**24
+# Up to this many cells r * c the checkerboard sum is exact in float32.
+_FLOAT32_EXACT_CELLS = 2**13
 # Longest chain whose trace `serial_pvalue` returns.  The trace is one
 # float64 array, 8 bytes a step (0.13 GB here) above the chain's own peak.
 MAX_TRACE_LENGTH = 2**24
@@ -84,15 +86,21 @@ def _advance(work, steps, rng, score=None):
 
     The indices of a block are drawn as numpy arrays (one `rng.integers` call
     per corner, so the random stream is fixed by the block layout) and then
-    turned into Python ints.  The state is copied once into a bytearray,
+    iterated as Python ints: as `bytes` when both dimensions are at most
+    256, so that every index fits in a byte, and as lists from `tolist`
+    otherwise.  The loop keeps no step counter: an accepted swap's step is
+    the block's last step less the remaining length of the first index
+    iterator, which list and bytes iterators report exactly, so only the
+    accepted steps pay for it.  The state is copied once into a bytearray,
     whatever the layout of `work`, and written back at the end.  The loop
     reads and writes cells through one 1-D memoryview per row of it,
     `rows[r1][c1]`: a list lookup and a 1-D index cost less than a tuple
     index into a 2-D memoryview (on a 2-core x86 host, 10**4 steps of a
     40x20 chain without scoring took 3.6 ms with that and 2.1 ms with
-    the row views).  Flat indices r1 * c + c1 are not precomputed: above 256
-    they are not cached small ints, and the four lists of one block add
-    about 0.7 MB to the traced peak of a 40x20 chain.
+    the row views).  Flat indices r1 * c + c1 are not precomputed: they
+    pass 255 on all but the smallest matrices, so they would be lists of
+    ints that are not cached small ints, which add about 0.7 MB to the
+    traced peak of a 40x20 chain.
 
     A state lasts until the next accepted swap, so the loop appends a byte
     snapshot of a state, and its run, to a stack only when the swap that
@@ -104,10 +112,10 @@ def _advance(work, steps, rng, score=None):
     whatever the index blocks.  One numpy call costs several
     microseconds whatever its size, and on a 40x20 chain
     about one step in ten is accepted.  Scored one state at a time, the
-    statistic took about 80 % of such a chain's time; in stacks it takes
-    a little under half: 10**4 steps took 2.2 ms without scoring, 2.7 ms
-    with a statistic that costs nothing, and 4.8 ms with
-    `checkerboard_score`.
+    statistic takes about 80 % of such a chain's time; in stacks it takes
+    about 40 %: 10**4 steps took 1.7 ms without scoring, 2.1 ms with a
+    statistic that costs nothing, and 3.4 ms with `checkerboard_score`
+    (medians of 60 rounds).
     """
     if steps <= 0:
         return
@@ -116,6 +124,7 @@ def _advance(work, steps, rng, score=None):
     cells = bytearray(work.tobytes())
     view = memoryview(cells)
     rows = [view[i * c:(i + 1) * c] for i in range(r)]
+    small = max(r, c) <= 256  # every index fits in a byte
     full = max(1, _STACK_BYTES // len(cells)) * len(cells)  # bytes of a full stack
     stack, runs = bytearray(), []  # snapshots of the states that have ended, and their runs
     start = 0  # the step at which the current state began
@@ -128,20 +137,25 @@ def _advance(work, steps, rng, score=None):
         j2 = rng.integers(0, c - 1, size=b)
         i2 = i2 + (i2 >= i1)
         j2 = j2 + (j2 >= j1)
-        for t, r1, r2, c1, c2 in zip(range(done, done + b), i1.tolist(), i2.tolist(),
-                                     j1.tolist(), j2.tolist()):
+        blocks = [a.astype(np.uint8).tobytes() if small else a.tolist() for a in (i1, i2, j1, j2)]
+        first = iter(blocks[0])
+        left = first.__length_hint__  # the steps of this block after the current one
+        last = done + b - 1
+        for r1, r2, c1, c2 in zip(first, *blocks[1:]):
             row1 = rows[r1]
             row2 = rows[r2]
             a = row1[c1]
             bb = row1[c2]
             if a != bb and row2[c2] == a and row2[c1] == bb:
-                if score is not None and t > start:
-                    stack += cells
-                    runs.append(t - start)
-                    start = t
-                    if len(stack) == full:
-                        _score_stack(stack, runs, work.shape, score)
-                        stack, runs = bytearray(), []
+                if score is not None:
+                    t = last - left()
+                    if t > start:
+                        stack += cells
+                        runs.append(t - start)
+                        start = t
+                        if len(stack) == full:
+                            _score_stack(stack, runs, work.shape, score)
+                            stack, runs = bytearray(), []
                 row1[c1] = bb
                 row2[c2] = bb
                 row1[c2] = a
@@ -177,7 +191,7 @@ def checkerboard_score(mats):
     one matrix (2-D array, list or BinaryMatrix) gives one float.  The chain
     scores the states it visits as stacks because each call costs several
     microseconds whatever its size: on a 2-core x86 host about 1000 states
-    of 40x20 took 2.3 ms in stacks of 40 and 12.5 ms one by one.
+    of 40x20 took 1.3 ms in stacks of 40 and 9.3 ms one by one.
 
     With M = X^T (1 - X) for an r x c matrix X, M[j, j'] counts the rows
     that have column j but not column j': it is s[j] - O[j, j'], with s the
@@ -190,18 +204,29 @@ def checkerboard_score(mats):
     transposed stack with its complement (numpy has no BLAS path for
     int64).  For 0/1 entries it is exact, as every entry and partial sum is
     an integer count of at most r: in float32 below 2**24 rows, which
-    halves the temporaries, and in float64 from there.  It is cast to int64
-    before the sum, where each term is at most r**2, so the numerator is
-    exact for r * c < 2**31 and each score is the same float as with the
+    halves the temporaries, and in float64 from there.  M[j, j'] and
+    M[j', j] count disjoint sets of rows, so they add up to at most r and
+    each term of the sum is at most r**2 / 4.  Up to r * c = 2**13 cells
+    the sum runs on the float32 product itself: every partial sum is an
+    integer of at most c(c-1) r**2 / 4 < (r c)**2 / 4 <= 2**24, which
+    float32 holds exactly, in any order of addition.  Above that the
+    product is cast to int64 first, so the numerator is exact for
+    r * c < 2**31.  Either way each score is the same float as with the
     all-int64 sum of the products, whatever stack the matrix is in.
+
+    Anything but a 2-D matrix or a 3-D stack is refused by its shape.
     """
     e = mats.entries if isinstance(mats, BinaryMatrix) else np.asarray(mats)
-    c = e.shape[-1]
+    if e.ndim not in (2, 3):
+        raise ValueError(f"need an r x c matrix or a (B, r, c) stack, got shape {e.shape}")
+    r, c = e.shape[-2:]
     if c < 2:
         raise ValueError("need at least 2 columns")
-    f = e.astype(np.float32 if e.shape[-2] < _FLOAT32_EXACT_ROWS else np.float64)
-    only = np.matmul(f.swapaxes(-1, -2), 1 - f).astype(np.int64)
-    return np.einsum("...ij,...ji->...", only, only) / (c * (c - 1))
+    f = e.astype(np.float32 if r < _FLOAT32_EXACT_ROWS else np.float64)
+    only = np.matmul(f.swapaxes(-1, -2), 1 - f)
+    if r * c > _FLOAT32_EXACT_CELLS:
+        only = only.astype(np.int64)
+    return np.einsum("...ij,...ji->...", only, only).astype(np.float64) / (c * (c - 1))
 
 
 @dataclass(frozen=True)
@@ -232,8 +257,12 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
     counts the runs of values >= the observed one.  The trace is one float64
     array of the chain's length: each stack's runs are written into it as
     they come, forward from position tau + 1 up and backward from tau - 1
-    down, one slice a run, so no piece is built and the trace holds 8 bytes
-    a step and nothing more.
+    down.  A run longer than a state's bytes is written as one slice, and
+    the runs between such runs as one `np.repeat` piece, so a piece holds
+    at most 8 bytes per stacked byte (256 KiB for a full stack) and the
+    trace holds 8 bytes a step and nothing more.  A traced 10**4-step 6x4
+    chain, whose runs are a few steps each, takes a few per cent longer than
+    the untraced one; with one slice a run it took about 35 % longer.
     """
     _check_swappable(entries.shape)
     tau = int(rng.integers(1, length + 1))
@@ -255,9 +284,16 @@ def _serial_pvalue_rng(entries, length, statistic, rng, return_trace=False):
         count += int(runs[values >= observed].sum())
         if side is None:
             return
-        for value, run in zip(values.tolist(), runs.tolist()):
-            side[filled:filled + run] = value
-            filled += run
+        lo = 0
+        for i in np.flatnonzero(runs > states[0].size).tolist() + [len(runs)]:
+            piece = np.repeat(values[lo:i], runs[lo:i])
+            side[filled:filled + len(piece)] = piece
+            filled += len(piece)
+            if i < len(runs):
+                run = int(runs[i])
+                side[filled:filled + run] = values[i]
+                filled += run
+            lo = i + 1
 
     observed = evaluate(entries[None])[0]
     count = 1  # t = tau

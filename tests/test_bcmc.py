@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -222,10 +223,11 @@ class TestAdvanceMatchesReference:
         assert got == want
         assert len(set(got[1])) > _STACK_BYTES // mat.entries.size
 
-    @pytest.mark.parametrize("shape", [(300, 4), (4, 300)])
+    @pytest.mark.parametrize("shape", [(300, 4), (4, 300), (256, 3), (257, 3), (3, 256), (3, 257)])
     def test_every_state_and_count_on_long_rows_and_columns(self, shape):
         # the row indices of 300x4 and the column indices of 4x300 go above
-        # 256, past Python's cached small ints, through the row views
+        # 256, past Python's cached small ints, through the row views; up to
+        # 256 rows and columns the index blocks are bytes, from 257 lists
         entries = np.random.default_rng(80).random(shape) < 0.15
         for i, (work, ref) in enumerate(zip(layouts(entries), layouts(entries))):
             got = self.run(advance_counting, work, 10_000, 81 + i)
@@ -282,7 +284,8 @@ class TestStackedStatistic:
     def test_traced_peak_of_a_scored_chain_is_bounded(self):
         # 1.14 MB with the 2-D memoryview loop and 1.22 MB with the row
         # views; precomputed flat index lists r1 * c + c1 hold int objects
-        # above 256 and take it to about 1.9 MB
+        # above 256 and take it to about 1.9 MB; 0.89 MB with index lists
+        # and 0.66 MB with byte index blocks
         mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
         work = np.array(mat.entries)
         tracemalloc.start()
@@ -296,7 +299,7 @@ class TestStackedStatistic:
 
     def test_traced_peak_of_a_traced_chain_per_step(self):
         # the trace is one float64 array written as the chain runs: 8.0 bytes
-        # a step above the untraced chain's peak (about 0.9 MB, whatever the
+        # a step above the untraced chain's peak (about 0.7 MB, whatever the
         # length); at this length a second copy of the trace would show as
         # 12.1 bytes a step, but not yet at 10**5 steps
         mat = generate_null_matrix([6] * 40, [12] * 20, seed=3)
@@ -488,6 +491,27 @@ class TestStatistics:
         for limit in (2, 9, 10):
             monkeypatch.setattr(bcmc, "_FLOAT32_EXACT_ROWS", limit)
             assert checkerboard_score(stack.astype(np.int8)).tolist() == expected, limit
+
+    @pytest.mark.parametrize("shape", [(128, 64), (129, 64), (64, 128), (64, 129)])
+    def test_checkerboard_score_near_the_largest_sum_on_both_sides_of_the_float32_sum(self, shape):
+        # up to r * c = 2**13 cells M o M^T is summed in float32: each
+        # partial sum is an integer below c(c-1)r**2/4 < 2**24.  Two row
+        # types with complementary halves of the columns sum to r**2 c**2 / 8,
+        # half that bound; the stack shuffles and perturbs them
+        r, c = shape
+        rng = np.random.default_rng(67)
+        base = (np.arange(r)[:, None] % 2) == (np.arange(c)[None, :] % 2)
+        stack = np.array([rng.permutation(rng.permutation(base), axis=1) ^ (rng.random(shape) < p)
+                          for p in (0, 0, 0.001, 0.01, 0.02)], dtype=np.int8)
+        expected = [checkerboard_score_int64(m) for m in stack]
+        assert min(expected) * c * (c - 1) > 0.9 * r**2 * c**2 / 8
+        assert checkerboard_score(stack).tolist() == expected
+        assert [checkerboard_score(m) for m in stack] == expected
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 5), ()])
+    def test_checkerboard_score_refuses_other_than_a_matrix_or_a_stack(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            checkerboard_score(np.zeros(shape, dtype=np.int8))
 
     def test_checkerboard_score_varies_across_class(self):
         scores = {round(checkerboard_score(m), 9) for m in enumerate_margin_class(*BLOCK_MARGINS)}
