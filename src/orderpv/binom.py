@@ -31,10 +31,15 @@ def _special():
 
 
 def _check_n(n, name="n"):
-    """`n` as an int >= 1; a non-integral value is refused, not truncated."""
+    """`n` as an int in [1, 2**63); a non-integral value is refused, not truncated.
+
+    Counts reach numpy as int64, which overflows at 2**63.
+    """
     value = integral(n)
     if value is None or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    if value >= 2**63:
+        raise ValueError(f"{name} must be below 2**63, got {n!r}")
     return value
 
 

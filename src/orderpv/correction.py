@@ -141,6 +141,11 @@ class CombinerSpec:
         Degenerate configurations are dispatched analytically: k = 1 gives
         slope n at knee 0 (n = 1 included) and k = n gives the identity
         correction (knee 1, slope 1).
+
+        A knee on the bracket's left end, where w > 0 in exact arithmetic,
+        or a slope below the envelope's lower slope (n/k) / (1 + 5k^(-1/3))
+        means the float tail could not place the knee (at n of about 10**13
+        and up); that is a `ValueError` naming (n, k), not a correction.
         """
         n, k = _check_nk(n, k)
 
@@ -149,8 +154,13 @@ class CombinerSpec:
         if k == n:
             return cls(n, k, 1.0, 1.0)
 
-        knee = _brentq(lambda p: _stationarity(p, n, k), (k - 1) / (n - 1), 1.0, _XTOL)
-        return cls(n, k, knee, float(_upper_tail(n, k, knee) / knee))
+        left = (k - 1) / (n - 1)
+        knee = _brentq(lambda p: _stationarity(p, n, k), left, 1.0, _XTOL)
+        slope = float(_upper_tail(n, k, knee) / knee)
+        if knee == left or slope < (n / k) / (1.0 + 5.0 * k ** (-1.0 / 3.0)):
+            raise ValueError(f"no reliable knee at (n, k) = ({n}, {k}): "
+                             f"the float binomial tail is too coarse at this n")
+        return cls(n, k, knee, slope)
 
     def apply(self, u):
         """Corrected p-value for an observed order statistic u.

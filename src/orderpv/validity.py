@@ -18,11 +18,10 @@ between them that gives the same A for a given uniform), so the draw is
 exact up to the tail's own error and uses only `Generator.random` and
 `Generator.beta`.  Only the rows whose uniform lies below P(A <= k - 1),
 the rows with A < k, are inverted (and bisected); the others are atom
-rows.  `uniform_kernel` draws the n uniforms and selects the k-th, and
-refuses a call whose (size, n) matrix would hold more than
-`MAX_CHUNK_VALUES` draws.  Replications run serially in the fixed-size
-blocks of `rngs.blocks`, each on its own counter-derived stream, and the
-per-block tallies are summed, so a report depends only on the plan.
+rows.  It is the module's one kernel, since its family attains equality.
+Replications run serially in the fixed-size blocks of `rngs.blocks`, each
+on its own counter-derived stream, and the per-block tallies are summed,
+so a report depends only on the plan.
 """
 
 import math
@@ -42,12 +41,6 @@ DEFAULT_ALPHA_GRID = np.linspace(0.025, 0.5, 20)
 # rate per report at the percent level, at any reps.
 SIGMA_RULE = 3.0
 
-# Draws one call of `uniform_kernel` may hold: 2**27 float64 values are
-# 1 GiB.  A block is min(reps, CHUNK) rows of n values, so at full blocks
-# n is at most 8192.  `adversarial_kernel` holds O(1) per replication and
-# needs no bound.
-MAX_CHUNK_VALUES = 2**27
-
 # Entries of P(A <= a) one worst-case kernel keeps (at least 2): 2**16
 # float64 values are 512 KiB.  With k above it, the table keeps every s-th
 # entry and the last, s = ceil((k - 1) / (_CDF_ENTRIES - 1)).
@@ -60,8 +53,7 @@ class SimConfig:
 
     `n`, `k`, `reps` and `seed` are checked and stored as ints; a
     non-integral one is refused.  How much memory a block takes is the
-    kernel's to bound: `uniform_kernel` refuses a block above
-    `MAX_CHUNK_VALUES` draws.
+    kernel's to bound.
     """
 
     n: int
@@ -189,29 +181,6 @@ def adversarial_kernel(n, t, k=None):
     return kernel
 
 
-def uniform_kernel(n, k=None):
-    """Kernel of the k-th smallest of n i.i.d. uniforms (the no-dependence base case).
-
-    Each call draws a (size, n) matrix and reorders its rows in place to
-    select the k-th smallest value.  A call whose matrix would hold more
-    than `MAX_CHUNK_VALUES` draws raises ValueError before drawing.  `n`
-    must be an integer >= 1; `k` defaults to `default_k(n)`.
-    """
-    n = _check_n(n)
-    k = default_k(n) if k is None else _check_nk(n, k)[1]
-
-    def kernel(rng, size):
-        if size * n > MAX_CHUNK_VALUES:
-            raise ValueError(f"a block of {size} x n = {size * n} draws exceeds "
-                             f"MAX_CHUNK_VALUES = {MAX_CHUNK_VALUES}; lower n or reps")
-        draws = rng.random((size, n))
-        draws.partition(k - 1, axis=1)
-        return draws[:, k - 1]
-
-    kernel.nk = (n, k)
-    return kernel
-
-
 def _tally_chunk(cfg, f, kernel, rng, size):
     u = np.asarray(kernel(rng, size))
     if u.shape != (size,):
@@ -241,9 +210,9 @@ def check_validity(cfg, f, kernel):
         ``kernel(rng, size) -> (size,)``: the k-th smallest of n
         conditionally i.i.d. p-values, one per replication; another shape
         is a `ValueError`.  A kernel that records its ``nk = (n, k)``, as
-        `adversarial_kernel` and `uniform_kernel` do, must match cfg's, or
-        it is a `ValueError`; a kernel that records none is trusted.  It is
-        called once per block of `rngs.blocks`, one block at a time.
+        `adversarial_kernel` does, must match cfg's, or it is a
+        `ValueError`; a kernel that records none is trusted.  It is called
+        once per block of `rngs.blocks`, one block at a time.
 
     Returns
     -------

@@ -120,6 +120,40 @@ def worst_case_orderstat_cdf(n, k, t, q):
     return on_atom + scattered
 
 
+# Draws one call of `uniform_kernel` may hold: 2**27 float64 values are
+# 1 GiB.  A block is min(reps, CHUNK) rows of n values, so at full blocks
+# n is at most 8192.
+MAX_CHUNK_VALUES = 2**27
+
+
+def uniform_kernel(n, k=None):
+    """Kernel of the k-th smallest of n i.i.d. uniforms (the no-dependence base case).
+
+    Each call draws a (size, n) matrix and reorders its rows in place to
+    select the k-th smallest value, so its CDF at q is P(Bin(n, q) >= k)
+    by the order-statistic identity, not by construction.  A call whose
+    matrix would hold more than `MAX_CHUNK_VALUES` draws raises ValueError
+    before drawing.  `n` and `k` are checked as `adversarial_kernel`
+    checks them; `k` defaults to `default_k(n)`.
+    """
+    from orderpv.binom import _check_n, _check_nk
+    from orderpv.combine import default_k
+
+    n = _check_n(n)
+    k = default_k(n) if k is None else _check_nk(n, k)[1]
+
+    def kernel(rng, size):
+        if size * n > MAX_CHUNK_VALUES:
+            raise ValueError(f"a block of {size} x n = {size * n} draws exceeds "
+                             f"MAX_CHUNK_VALUES = {MAX_CHUNK_VALUES}; lower n or reps")
+        draws = rng.random((size, n))
+        draws.partition(k - 1, axis=1)
+        return draws[:, k - 1]
+
+    kernel.nk = (n, k)
+    return kernel
+
+
 def adversarial_kernel_where(n, t):
     """The worst-case kernel as an `np.where` copy of its uniform matrix.
 
@@ -163,6 +197,39 @@ def enumerate_margin_class(row_sums, col_sums):
 
     recurse(0, cols.copy(), [])
     return out
+
+
+def swap_transition_matrix(states):
+    """Exact one-step law of the swap chain on an enumerated margin class.
+
+    `states` holds every member of one class, as `enumerate_margin_class`
+    lists them.  A step draws an ordered proposal (r1, r2, c1, c2) with
+    r1 != r2 and c1 != c2, each with probability 1/(r(r-1)c(c-1)), the law
+    of the chain's index draw, and flips the four corners when they form a
+    checkerboard.  Every proposal of every member is enumerated; members
+    are found by their bits read as one integer.  Returns P, P[i, j] the
+    probability of states[j] one step after states[i]: an integer count of
+    proposals times that probability, so P is as symmetric as the counts.
+    """
+    stack = np.array(states, dtype=np.int64)
+    m, r, c = stack.shape
+    bits = 2 ** np.arange(r * c, dtype=np.int64).reshape(r, c)
+    codes = (stack * bits).sum(axis=(1, 2))
+    order = np.argsort(codes)
+    cells = []
+    for r1, r2 in itertools.permutations(range(r), 2):
+        for c1, c2 in itertools.permutations(range(c), 2):
+            a, b = stack[:, r1, c1], stack[:, r1, c2]
+            flip = (a != b) & (stack[:, r2, c2] == a) & (stack[:, r2, c1] == b)
+            # a flip turns a into b at (r1, c1) and (r2, c2), b into a at the others
+            step = (b - a) * (bits[r1, c1] + bits[r2, c2] - bits[r1, c2] - bits[r2, c1])
+            target = codes + np.where(flip, step, 0)
+            found = order[np.searchsorted(codes, target, sorter=order) % m]
+            if not np.array_equal(codes[found], target):
+                raise ValueError("states do not hold every member of the class")
+            cells.append(np.arange(m) * m + found)
+    counts = np.bincount(np.concatenate(cells), minlength=m * m).reshape(m, m)
+    return counts / (r * (r - 1) * c * (c - 1))
 
 
 def gale_ryser_feasible(row_sums, col_sums):

@@ -13,15 +13,9 @@ from orderpv.binom import binom_upper_tail
 from orderpv.correction import CombinerSpec, envelope, solve_combiner, tail_ratio
 from orderpv.rngs import stream
 from orderpv.subsample import GroupedDataset, rank_sum_test, run_pipeline
-from orderpv.validity import (
-    SimConfig,
-    adversarial_kernel,
-    check_validity,
-    tightness_scan,
-    uniform_kernel,
-)
+from orderpv.validity import SimConfig, adversarial_kernel, check_validity, tightness_scan
 
-from oracles import enumerate_margin_class, subsample_rank_sum_law
+from oracles import enumerate_margin_class, subsample_rank_sum_law, uniform_kernel
 
 
 def verdict(num, desc, ok):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from orderpv import GroupedDataset, bcmc, make_bcmc_test
 from orderpv.bcmc import (
@@ -26,10 +27,12 @@ from oracles import (
     checkerboard_score_int64,
     enumerate_margin_class,
     gale_ryser_feasible,
+    swap_transition_matrix,
 )
 
 PERM_MARGINS = ([1, 1, 1], [1, 1, 1])
 BLOCK_MARGINS = ([2, 2, 2, 2, 2, 2], [3, 3, 3, 3])
+ALL_TWO_MARGINS = ([2, 2, 2, 2], [2, 2, 2, 2])
 
 
 def state_key(entries):
@@ -132,6 +135,42 @@ class TestSwapStep:
             for j in range(i + 1, 6):
                 se = np.sqrt((phat[i, j] * (1 - phat[i, j]) + phat[j, i] * (1 - phat[j, i])) / trials)
                 assert abs(phat[i, j] - phat[j, i]) <= 4 * max(se, 1e-3)
+
+
+class TestSwapTransitionMatrix:
+    @pytest.mark.parametrize("margins, members, acceptance", [(ALL_TWO_MARGINS, 90, 0.3556),
+                                                             (BLOCK_MARGINS, 1860, 0.2968)],
+                             ids=["4x4-all-2", "6x4-acceptance-09"])
+    def test_symmetric_stochastic_and_uniform_stationary(self, margins, members, acceptance):
+        states = enumerate_margin_class(*margins)
+        assert len(states) == members
+        P = swap_transition_matrix(states)
+        assert np.array_equal(P, P.T)
+        assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+        uniform = np.full(members, 1.0 / members)
+        assert np.abs(uniform @ P - uniform).max() <= 1e-15
+        # an accepted swap always changes the state, so the stationary
+        # acceptance rate is the mean probability of leaving
+        assert round(1.0 - np.trace(P) / members, 4) == acceptance
+
+    def test_three_steps_follow_the_exact_law(self):
+        # 9000 chains of 3 steps from one member, each on its own stream,
+        # against e P^3 by chi-squared at Phi(-3); cells expecting under 5
+        # are pooled, and a state P^3 cannot reach is never reached
+        states = enumerate_margin_class(*ALL_TWO_MARGINS)
+        index = {state_key(m): i for i, m in enumerate(states)}
+        runs = 9000
+        observed = np.zeros(len(states), dtype=np.int64)
+        for t in range(runs):
+            work = states[0].copy()
+            _advance(work, 3, stream(1, t))
+            observed[index[state_key(work)]] += 1
+        expected = runs * np.linalg.matrix_power(swap_transition_matrix(states), 3)[0]
+        assert observed[expected == 0].sum() == 0
+        small = expected < 5
+        cells = (np.append(observed[~small], observed[small].sum()),
+                 np.append(expected[~small], expected[small].sum()))
+        assert stats.chisquare(*cells).pvalue > stats.norm.cdf(-3.0)
 
 
 def layouts(entries):

@@ -102,6 +102,14 @@ class TestUpperTail:
         with pytest.raises(ValueError):
             binom_upper_tail(5, 0, 0.5)
 
+    def test_rejects_n_numpy_cannot_hold(self):
+        # counts reach numpy as int64: at 2**63 and above it overflowed
+        # with OverflowError instead of naming n
+        assert binom_upper_tail(2**63 - 1, 1, 0.0) == 0.0
+        for n in (2**63, 2**70, 2**1100):
+            with pytest.raises(ValueError, match=r"n must be below 2\*\*63"):
+                binom_upper_tail(n, 1, 0.5)
+
 
 class TestUpperTailDerivative:
     def test_identity_case(self):

@@ -61,6 +61,20 @@ class TestFnk:
         code, _, err = run_cli(capsys, "fnk", "--n", "3", "--k", "1", "--u", "1.4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["fnk", "--n", "100000000000000000", "--k", "50000000000000000"],
+        ["fnk", "--n", "10000000000000", "--k", "3"],
+        ["fnk", "--n", str(2**1100), "--k", "2"],
+        ["validate", "--n", "10000000000000", "--k", "3", "--reps", "10", "--seed", "1"],
+        ["validate", "--n", str(2**70), "--k", "3", "--reps", "10", "--seed", "1"],
+    ], ids=["knee-at-bracket-end", "slope-low", "huge-n", "validate-slope-low", "validate-n-2^70"])
+    def test_n_beyond_the_float_tail_exits_two(self, capsys, argv):
+        # these printed a correction below its lower bound, or exited 3
+        # with OverflowError
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_bad_evaluation_leaves_stdout_empty(self, capsys):
         # the report is printed only once every value is computed
         code, out, err = run_cli(capsys, "fnk", "--n", "3", "--k", "1", "--u", "0.2", "1.4")
@@ -245,8 +259,8 @@ class TestValidate:
         assert len(lines) == 7 + DEFAULT_ALPHA_GRID.size
 
     def test_plan_of_large_n_runs(self, capsys):
-        # the worst-case kernel holds O(1) a replication whatever n, so a
-        # block of n > MAX_CHUNK_VALUES / CHUNK values a row is never drawn
+        # the worst-case kernel holds O(1) a replication whatever n, so no
+        # (CHUNK, n) block of draws is ever made
         code, out, err = run_cli(capsys, "validate", "--n", "100000", "--k", "50000",
                                  "--reps", "100000")
         assert code == 0 and err == ""

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -145,6 +146,23 @@ class TestSolve:
             CombinerSpec.solve(5, 0)
         with pytest.raises(ValueError):
             CombinerSpec.solve(5, 6)
+
+    @pytest.mark.parametrize("n, k", [(10**17, 5 * 10**16), (10**13, 2), (10**13, 3), (10**14, 10),
+                                      (10**15, 100), (10**16, 100)])
+    def test_refuses_a_knee_the_float_tail_cannot_place(self, n, k):
+        # unguarded, these gave the bracket's left end (knee 0.5 and slope 1
+        # at the first; slopes 10-30 % low at the next three) or a slope
+        # below the envelope's lower slope (70 % low at (10**15, 100))
+        with pytest.raises(ValueError, match=re.escape(f"no reliable knee at (n, k) = ({n}, {k})")):
+            CombinerSpec.solve(n, k)
+
+    def test_guard_passes_every_pair_up_to_a_trillion(self):
+        # n log-spaced up to 10**12 at the small, median and top indices:
+        # the knee stays inside its bracket and the slope inside the envelope
+        for n in np.unique(np.round(np.logspace(0, 12, 100)).astype(np.int64)).tolist():
+            for k in {1, 2, 3, 10, 100, n // 10, (n + 1) // 2, n - 1, n}:
+                if 1 <= k <= n:
+                    CombinerSpec.solve(n, k)
 
     def test_rejects_nan_slope_and_knee(self):
         with pytest.raises(ValueError, match="slope"):

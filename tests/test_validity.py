@@ -11,15 +11,18 @@ from orderpv.correction import solve_combiner
 from orderpv.rngs import CHUNK, blocks
 from orderpv.validity import (
     DEFAULT_ALPHA_GRID,
-    MAX_CHUNK_VALUES,
     SimConfig,
     adversarial_kernel,
     check_validity,
     tightness_scan,
-    uniform_kernel,
 )
 
-from oracles import adversarial_kernel_where, worst_case_orderstat_cdf
+from oracles import (
+    MAX_CHUNK_VALUES,
+    adversarial_kernel_where,
+    uniform_kernel,
+    worst_case_orderstat_cdf,
+)
 
 
 class TestSimConfig:
@@ -34,6 +37,8 @@ class TestSimConfig:
     def test_rejects_bad_reps_and_seed(self):
         with pytest.raises(ValueError):
             SimConfig(n=5, k=2, reps=0, seed=0)
+        with pytest.raises(ValueError, match=r"reps must be below 2\*\*63"):
+            SimConfig(n=5, k=2, reps=2**63, seed=0)
         with pytest.raises(ValueError):
             SimConfig(n=5, k=2, reps=10, seed=-1)
 
