@@ -176,7 +176,8 @@ class CombinerSpec:
         # one index gathers and scatters the tail; the method form skips
         # np.flatnonzero's wrappers, about 1 us a scalar call
         tail = (uarr > self.knee).nonzero()[0]
-        out[tail] = _upper_tail(self.n, self.k, uarr[tail])
+        if tail.size:  # a scalar on the linear branch skips an empty betainc call
+            out[tail] = _upper_tail(self.n, self.k, uarr[tail])
         return _as_result(np.minimum(out, 1.0, out=out), u)
 
     def invert(self, alpha):
@@ -195,9 +196,19 @@ class CombinerSpec:
         return _as_result(np.clip(out, 0.0, 1.0), alpha)
 
 
-@lru_cache(maxsize=None)
+# Most solved (n, k) pairs `solve_combiner` keeps, the least recently used
+# going first.  An entry holds about 330 bytes (tracemalloc), so the cache
+# stays under 1.3 MB however many pairs one process solves.
+SOLVE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=SOLVE_CACHE_SIZE)
 def solve_combiner(n, k):
-    """Cached CombinerSpec.solve; repeated combinations skip the root search."""
+    """Cached CombinerSpec.solve; repeated combinations skip the root search.
+
+    At most `SOLVE_CACHE_SIZE` pairs are kept; the least recently used is
+    dropped first.
+    """
     return CombinerSpec.solve(n, k)
 
 

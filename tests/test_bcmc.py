@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,6 +153,42 @@ class TestSwapTransitionMatrix:
         # an accepted swap always changes the state, so the stationary
         # acceptance rate is the mean probability of leaving
         assert round(1.0 - np.trace(P) / members, 4) == acceptance
+
+    @pytest.fixture(scope="class")
+    def acceptance_09_chain(self):
+        """P and the checkerboard score of every member of acceptance 09's class."""
+        states = enumerate_margin_class(*BLOCK_MARGINS)
+        return swap_transition_matrix(states), checkerboard_score(np.array(states))
+
+    def test_tie_probability_of_two_independent_states(self, acceptance_09_chain):
+        # the reference for a chain's tie fraction, which nears it only as
+        # the chain grows, its states being correlated with the observed one
+        _, score = acceptance_09_chain
+        _, counts = np.unique(score, return_counts=True)
+        assert counts.tolist() == [720, 1080, 60]
+        tie = Fraction(sum(c * c for c in counts.tolist()), len(score) ** 2)
+        assert tie == Fraction(469, 961) and round(float(tie), 3) == 0.488
+
+    def test_integrated_autocorrelation_time_of_the_score(self, acceptance_09_chain):
+        # P is symmetric and its stationary law uniform, so with P = V diag(lam) V^T
+        # and w_j the squared weight of the centred score on eigenvector j,
+        # rho(t) = sum_j w_j lam_j^t / sum_j w_j and the IAT
+        # 1 + 2 sum_t rho(t) = sum_j w_j (1 + lam_j) / (1 - lam_j) / sum_j w_j
+        P, score = acceptance_09_chain
+        lam, V = np.linalg.eigh(P)
+        f = score - score.mean()
+        w = (V.T @ f) ** 2
+        assert abs(lam[-1] - 1.0) <= 1e-12 and w[-1] <= 1e-20 * w.sum()
+        iat = (w[:-1] * (1.0 + lam[:-1]) / (1.0 - lam[:-1])).sum() / w[:-1].sum()
+        assert round(iat, 2) == 7.58
+        assert round(1.0 - lam[-2], 3) == 0.098  # the spectral gap
+        assert lam[0] > 0.0  # the chain holds often, so every eigenvalue is positive
+        # the same IAT as the summed autocorrelations, by powers of P
+        rho, g = [], f
+        for _ in range(200):
+            g = P @ g
+            rho.append(f @ g / (f @ f))
+        assert rho[-1] <= 1e-15 and abs(1.0 + 2.0 * sum(rho) - iat) <= 1e-9
 
     def test_three_steps_follow_the_exact_law(self):
         # 9000 chains of 3 steps from one member, each on its own stream,

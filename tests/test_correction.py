@@ -11,11 +11,13 @@ from scipy import optimize
 
 import orderpv
 
+from orderpv import correction
 from orderpv.binom import binom_upper_tail
 from orderpv.combine import default_k
 from orderpv.correction import (
     _XTOL,
     DEFAULT_TOL,
+    SOLVE_CACHE_SIZE,
     CombinerSpec,
     _brentq,
     _stationarity,
@@ -260,6 +262,26 @@ class TestApply:
             got = spec.apply(empty)
             assert isinstance(got, np.ndarray) and got.shape == empty.shape
 
+    @pytest.mark.parametrize("n,k", [(10, 5), (200, 100), (1000, 500), (7, 1), (7, 7)])
+    def test_linear_branch_makes_no_tail_call(self, n, k, monkeypatch):
+        # u <= knee reads the line alone; the tail is evaluated only where u > knee
+        spec = CombinerSpec.solve(n, k)
+        u = [0.0, spec.knee / 3, np.nextafter(spec.knee, 0.0), spec.knee]
+        want = [spec.apply(x) for x in u]
+        vector = spec.apply(np.array(u))
+
+        def no_tail(*args):
+            raise AssertionError("the tail was evaluated")
+
+        monkeypatch.setattr(correction, "_upper_tail", no_tail)
+        got = [spec.apply(x) for x in u]
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert spec.apply(np.array(u)).tobytes() == vector.tobytes()
+        if spec.knee < 1.0:
+            with pytest.raises(AssertionError, match="the tail was evaluated"):
+                spec.apply(np.nextafter(spec.knee, 1.0))
+
     def test_rejects_out_of_range(self):
         spec = CombinerSpec.solve(4, 2)
         with pytest.raises(ValueError):
@@ -360,6 +382,29 @@ class TestEnvelope:
 
 def test_solver_cache_returns_same_object():
     assert solve_combiner(12, 5) is solve_combiner(12, 5)
+
+
+def test_solver_cache_drops_the_least_recently_used_pair():
+    # k = 1 solves in closed form, so filling the cache takes milliseconds
+    assert SOLVE_CACHE_SIZE == 4096
+    solve_combiner.cache_clear()
+    try:
+        first = solve_combiner(1, 1)
+        for n in range(2, SOLVE_CACHE_SIZE + 1):
+            solve_combiner(n, 1)
+        info = solve_combiner.cache_info()
+        assert (info.maxsize, info.currsize, info.hits, info.misses) == (4096, 4096, 0, 4096)
+        assert solve_combiner(1, 1) is first  # a hit makes (1, 1) the most recent
+        solve_combiner(SOLVE_CACHE_SIZE + 1, 1)  # full: drops (2, 1), now the least recent
+        info = solve_combiner.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (4096, 1, 4097)
+        assert solve_combiner(1, 1) is first
+        solve_combiner(2, 1)
+        solve_combiner(SOLVE_CACHE_SIZE, 1)
+        info = solve_combiner.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (4096, 3, 4098)
+    finally:
+        solve_combiner.cache_clear()
 
 
 def test_import_and_solve_leave_scipy_optimize_unloaded():

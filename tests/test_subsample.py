@@ -112,8 +112,38 @@ class TestGroupedDataset:
         assert GroupedDataset([[True], [2], [3.5]])._stacked.tolist() == [1.0, 2.0, 3.5]
         assert GroupedDataset([["a"], ["bc"]])._stacked.tolist() == ["a", "bc"]
 
+    # one bad group of each kind next to group 0, which holds two floats
+    BAD_GROUPS = {
+        "empty": ([], " is empty"),
+        "ragged": ([[0.1, 0.2], [0.3]], ": observations of different shapes"),
+        "shape": ([[0.1, 0.2]], r": observations of shape \(2,\), group 0 has \(\)"),
+        "kind": (["a"], ": observations of dtype <U1, group 0 has float64"),
+    }
+
+    @pytest.mark.parametrize("second", sorted(BAD_GROUPS))
+    @pytest.mark.parametrize("first", sorted(BAD_GROUPS))
+    def test_refusal_names_the_first_bad_group(self, first, second):
+        # groups 1 and 3 are bad: the refusal is group 1's, whatever group 3 holds
+        bad, message = self.BAD_GROUPS[first]
+        groups = [[0.5, 0.25], bad, [0.75], self.BAD_GROUPS[second][0]]
+        with pytest.raises(ValueError, match="^group 1" + message + "$"):
+            GroupedDataset(groups)
+
 
 class TestPickOnePerGroup:
+    @pytest.mark.parametrize("sizes", [[1], [2, 3, 1, 4, 2, 3, 2, 2, 3, 1, 2, 3], [1, 1, 5000, 7]])
+    def test_is_the_offset_plus_a_draw_within_the_group(self, sizes):
+        # the index is drawn from [offset, end), the same draws as [0, size)
+        # moved by the offset, and the generator ends in the same state
+        data = GroupedDataset([np.arange(size) + 0.5 for size in sizes])
+        offsets = np.cumsum(sizes) - sizes
+        for size in (1, 200, CHUNK):
+            rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+            picks = pick_one_per_group(data, rng, size)
+            want = data._stacked[offsets + ref.integers(0, sizes, size=(size, len(sizes)))]
+            assert picks.tobytes() == want.tobytes()
+            assert rng.random() == ref.random() and rng.integers(0, 7) == ref.integers(0, 7)
+
     def test_singleton_groups_are_deterministic(self):
         data = GroupedDataset([[10], [20], [30]])
         picks = pick_one_per_group(data, np.random.default_rng(0), 5)
@@ -501,6 +531,21 @@ class TestRunPipeline:
         assert result.bin_counts.sum() == 200
         assert len(result.quartiles) == 3
         assert result.maximum == result.sample.max()
+
+    def test_each_result_has_its_own_writable_edges(self):
+        data = GroupedDataset([[0.1, 0.2], [0.3]])
+        for bins in (20, 20, 3, 20, 1):
+            first = run_pipeline(data, constant_test(0.5), 10, seed=0, bins=bins)
+            second = run_pipeline(data, constant_test(0.5), 10, seed=0, bins=bins)
+            want = np.linspace(0.0, 1.0, bins + 1)
+            assert not np.shares_memory(first.bin_edges, second.bin_edges)
+            for edges in (first.bin_edges, second.bin_edges):
+                assert edges.flags.writeable
+                assert edges.dtype == want.dtype and edges.tobytes() == want.tobytes()
+            first.bin_edges[:] = -1.0
+            third = run_pipeline(data, constant_test(0.5), 10, seed=0, bins=bins)
+            assert third.bin_edges.tobytes() == want.tobytes()
+            assert second.bin_edges.tobytes() == want.tobytes()
 
     def test_default_k_is_left_median(self):
         rng = np.random.default_rng(15)
