@@ -589,6 +589,11 @@ class TestStatistics:
         with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
             checkerboard_score(np.zeros(shape, dtype=np.int8))
 
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 3, 1)])
+    def test_checkerboard_score_refuses_fewer_than_two_columns(self, shape):
+        with pytest.raises(ValueError, match="need at least 2 columns"):
+            checkerboard_score(np.zeros(shape, dtype=np.int8))
+
     def test_checkerboard_score_varies_across_class(self):
         scores = {round(checkerboard_score(m), 9) for m in enumerate_margin_class(*BLOCK_MARGINS)}
         assert len(scores) > 1
@@ -786,6 +791,16 @@ class TestGenerateNullMatrix:
             generate_null_matrix([2, 1], [1, 1], burn_in=0, seed=0)
         with pytest.raises(ValueError):
             generate_null_matrix([-1, 1], [0, 0], burn_in=0, seed=0)
+
+    @pytest.mark.parametrize("row_sums,col_sums,name", [
+        ([[1, 1]], [1, 1], "row_sums"),
+        ([], [1], "row_sums"),
+        ([1, 1], [[1], [1]], "col_sums"),
+        ([1], [], "col_sums"),
+    ])
+    def test_rejects_margins_that_are_not_a_non_empty_vector(self, row_sums, col_sums, name):
+        with pytest.raises(ValueError, match=f"{name} must be a non-empty 1-d integer vector"):
+            generate_null_matrix(row_sums, col_sums, burn_in=0)
 
     def test_rejects_non_integral_margins(self):
         # refused, not truncated: cast to int64, 2.7 would run as 2

@@ -87,6 +87,12 @@ class TestFnk:
         assert code == 2 and out == ""
         assert "precision must be >= 0" in err
 
+    def test_non_integral_precision_exit_two_before_output(self, capsys):
+        code, out, err = run_cli_usage_error(capsys, "fnk", "--n", "10", "--k", "5",
+                                             "--precision", "abc")
+        assert code == 2 and out == ""
+        assert "precision must be an integer, got 'abc'" in err
+
     def test_report_that_fails_to_format_leaves_stdout_empty(self, capsys):
         # n and k format at any precision; the floats after them do not
         code, out, err = run_cli(capsys, "fnk", "--n", "10", "--k", "5",
@@ -187,19 +193,28 @@ class TestCombine:
 
 
 class TestValidate:
-    def test_consistent_run_exits_zero(self, capsys):
+    @pytest.mark.parametrize("n,k,reps,seed", [
+        ("10", "5", "20000", "42"),
+        # through the strided CDF table of the worst-case kernel
+        ("10000000000", "5000000000", "20000", "1"),
+    ], ids=["n-10", "n-10^10"])
+    def test_consistent_run_exits_zero(self, capsys, n, k, reps, seed):
         code, out, _ = run_cli(
-            capsys, "validate", "--n", "10", "--k", "5", "--reps", "20000", "--seed", "42"
+            capsys, "validate", "--n", n, "--k", k, "--reps", reps, "--seed", seed
         )
         assert code == 0
-        assert "# seed = 42" in out
+        assert f"# seed = {seed}" in out
         assert "alpha,empirical_cdf,std_err,verdict" in out
         assert "violation" not in out.replace("violations", "")
 
-    def test_shrink_finds_violations_and_exits_zero(self, capsys):
+    @pytest.mark.parametrize("n,k,reps,seed,shrink", [
+        ("10", "5", "50000", "7", "0.8"),
+        ("1000", "500", "1000000", "1", "0.9"),
+    ], ids=["n-10", "n-1000"])
+    def test_shrink_finds_violations_and_exits_zero(self, capsys, n, k, reps, seed, shrink):
         code, out, _ = run_cli(
-            capsys, "validate", "--n", "10", "--k", "5", "--reps", "50000",
-            "--seed", "7", "--shrink", "0.8",
+            capsys, "validate", "--n", n, "--k", k, "--reps", reps,
+            "--seed", seed, "--shrink", shrink,
         )
         assert code == 0
         assert "violation" in out
@@ -325,6 +340,42 @@ class TestSubsample:
         )
         assert code == 0
         assert "summary =" in out
+
+    def test_paper_application_on_six_days(self, tmp_path, capsys):
+        rows = [("d1", 1, 0, 1, 0), ("d1", 0, 1, 1, 0), ("d2", 1, 1, 0, 0), ("d3", 0, 0, 1, 1),
+                ("d3", 1, 0, 0, 1), ("d4", 0, 1, 1, 1), ("d5", 1, 0, 1, 0), ("d5", 1, 1, 0, 1),
+                ("d6", 0, 1, 0, 0)]
+        path = write_grouped(tmp_path / "b.csv", rows, header="day,s1,s2,s3,s4")
+        code, out, _ = run_cli(capsys, "subsample", path, "--group-col", "day", "--test", "bcmc",
+                               "--n", "20", "--chain-length", "200", "--seed", "1")
+        assert code == 0
+        assert any(line.startswith("summary = ") for line in out.splitlines())
+
+    def test_hist_out_is_named_and_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_grouped(tmp_path / "g.csv", [("d1", 0.1), ("d1", 0.7), ("d2", 0.4), ("d3", 0.9),
+                                           ("d3", 0.2), ("d4", 0.5)])
+        code, out, _ = run_cli(capsys, "subsample", "g.csv", "--group-col", "day", "--n", "9",
+                               "--seed", "1", "--hist-out", "h.csv")
+        assert code == 0
+        assert "histogram = h.csv" in out.splitlines()
+        lines = (tmp_path / "h.csv").read_text().splitlines()
+        assert lines[0] == "bin_left,bin_right,count" and len(lines) == 21
+
+    def test_twelve_groups_repeat_byte_for_byte_and_one_bin_holds_every_value(self, tmp_path,
+                                                                              capsys):
+        # the group sizes of the benchmark's subsample-ranksum workload
+        sizes = (2, 3, 1, 4, 2, 3, 2, 2, 3, 1, 2, 3)
+        rows = [(f"d{j}", f"0.{j}{i}") for j, size in enumerate(sizes, 1) for i in range(1, size + 1)]
+        assert len(rows) == 28
+        argv = ["subsample", write_grouped(tmp_path / "g.csv", rows), "--group-col", "day",
+                "--n", "200", "--seed", "7"]
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0 and "m_groups = 12" in first.splitlines()
+        assert run_cli(capsys, *argv) == (0, first, "")
+        code, out, _ = run_cli(capsys, *argv, "--bins", "1")
+        assert code == 0
+        assert out.endswith("\nbin_left,bin_right,count\n0,1,200\n")
 
     def test_unwritable_hist_file_leaves_stdout_empty(self, tmp_path, capsys):
         # the histogram file is written before the report is printed
@@ -545,18 +596,25 @@ class TestBcmc:
         assert code == 0
         assert float(out.split("pvalue = ")[1].strip()) < 1.0
 
-    def test_trace_file(self, tmp_path, capsys):
-        path = tmp_path / "m.csv"
-        path.write_text("1,0\n0,1\n")
-        trace = tmp_path / "trace.csv"
+    # every state of each margin class has the same score; the last one has
+    # no checkerboard, so its chain never moves
+    @pytest.mark.parametrize("text,chain_length,seed", [
+        ("1,0\n0,1\n", "50", "6"),
+        ("1,0,1\n0,1,1\n1,1,0\n", "50", "1"),
+        ("1,1\n0,0\n", "20000", "1"),
+    ], ids=["2x2-identity", "3x3", "swap-free-2x2"])
+    def test_trace_file(self, tmp_path, capsys, monkeypatch, text, chain_length, seed):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.csv").write_text(text)
         code, out, _ = run_cli(
-            capsys, "bcmc", str(path), "--chain-length", "50", "--seed", "6",
-            "--trace-out", str(trace),
+            capsys, "bcmc", "m.csv", "--chain-length", chain_length, "--seed", seed,
+            "--trace-out", "t.csv",
         )
         assert code == 0
-        lines = trace.read_text().strip().splitlines()
+        assert {"trace = t.csv", "pvalue = 1"} <= set(out.splitlines())
+        lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         assert lines[0] == "t,statistic"
-        assert len(lines) == 51
+        assert len(lines) == int(chain_length) + 1
 
     def test_trace_above_bound_exit_two(self, tmp_path, capsys, monkeypatch):
         def no_steps(*args):
@@ -750,6 +808,26 @@ def test_failed_run_leaves_output_path_as_it_was(command, existing, tmp_path, ca
         assert (tmp_path / "out.csv").read_bytes() == b"kept\n"
     else:
         assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fnk", *sorted(OUTPUT_CASES)])
+def test_internal_error_exits_three_without_output(command, tmp_path, capsys, monkeypatch):
+    before = _in_golden_dir(tmp_path, monkeypatch)
+
+    def fails(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    if command == "fnk":
+        argv = ["fnk", "--n", "10", "--k", "5"]
+        monkeypatch.setattr(cli, "_cmd_fnk", fails)
+    else:
+        argv, computation = OUTPUT_CASES[command]
+        argv = [*argv, "out.csv"]
+        monkeypatch.setattr(cli, computation, fails)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "internal error: ZeroDivisionError('division by zero')\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # ---------------------------------------------------------------- seeds

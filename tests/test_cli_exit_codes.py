@@ -8,14 +8,19 @@ success path runs too.  A last property writes one table in many CSV
 layouts and requires the same output from each, and an error that names the
 file line of a planted bad cell.  Sizes stay small (--n, --bins and
 --chain-length at most 50, --reps at most 2000) so that no example is slow.
+One test runs `python -m orderpv.cli` in a subprocess and checks that exits
+0, 1 and 2 reach the shell through `entrypoint` with the output of `main`.
 """
 
 import contextlib
 import csv
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +62,21 @@ def check_exit(code, out, err, ok=(0,)):
     if code == 2:
         assert "error:" in err, err
         assert out == "", out
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["fnk", "--n", "1000", "--k", "500"], 0),
+    (["validate", "--n", "10", "--k", "5", "--reps", "2000", "--seed", "3", "--shrink", "0.999"], 1),
+    (["fnk", "--n", "3", "--k", "9"], 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_module_run_exits_with_the_code_of_main(argv, expected):
+    # `python -m orderpv.cli` goes through `entrypoint`, as the console script does
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "orderpv.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == call(argv)
+    assert done.returncode == expected
 
 
 @st.composite

@@ -143,6 +143,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="signs"):
             _brentq(lambda x: x + 1.0, 0.0, 1.0, _XTOL)
 
+    def test_brent_reports_no_convergence(self):
+        with pytest.raises(RuntimeError, match="no convergence in 1 iterations"):
+            _brentq(lambda x: x * x - 2.0, 0.0, 2.0, _XTOL, maxiter=1)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             CombinerSpec.solve(5, 0)
