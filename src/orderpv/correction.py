@@ -13,10 +13,11 @@ bounded above by ``min(1, n*u/k)`` (so "twice the left sample median" is
 always a conservative summary) and below by that bound divided by
 ``1 + 5*k**(-1/3)``.
 
-Two modules reach scipy.special, both through `binom._special`: `binom`,
+Three modules reach scipy.special, all through `binom._special`: `binom`,
 whose `_upper_tail` is every tail in the package (this module's tail
-branch, knee search and slope, and the validity verdict), and this module,
-whose `invert` calls ``betaincinv``.  `_special` imports scipy.special on
+branch, knee search and slope, and the validity verdict), this module,
+whose `invert` calls ``betaincinv``, and `validity`, whose strided
+atom-count search starts from ``ndtri``.  `_special` imports scipy.special on
 its first call: the first solve, tail or inverse in a process pays that
 import, and concurrent first calls wait for it.
 """

@@ -187,8 +187,9 @@ def run_pipeline(data, test, n, k=None, seed=0, bins=20):
     -0.0 may give its k-th value the other zero's sign, which compares
     equal.  The edges are a fresh copy of the cached edges of the last bin
     count, so each result owns writable edges.  On a 2-core x86 host, at
-    n = 200 on 12 groups with `rank_sum_test`, a call took about 130 µs:
-    about 100 µs drawing and testing, and 26–30 µs for the report.
+    n = 200 on 12 groups with `rank_sum_test` and 20 bins, a call took
+    about 115 µs on a built `GroupedDataset`, 26–30 µs of it for the
+    report.
     """
     bins = _check_n(bins, "bins")
     if bins > MAX_BINS:

@@ -169,6 +169,38 @@ def adversarial_kernel_where(n, t):
     return kernel
 
 
+def atom_count_by_bisection(n, t, k, entries, v):
+    """(A, tail values read) for A ~ Bin(n, t) and uniforms v below P(A <= k - 1).
+
+    A = min{a : P(A <= a) > v}, the strided inversion `validity._atom_count`
+    made before its rows started from a first guess: a table of `entries`
+    values of P(A <= a) at a = 0, s, 2s, ... and k - 1, then ceil(log2 s)
+    bisection steps in every gap, for every row with v at or above the first
+    entry.  It reads ``betainc(n - a, a + 1, 1 - t)``, the same doubles
+    the kernel's tail gives.
+    """
+    stride = max(1, -(-(k - 1) // (entries - 1)))
+    read = 0
+
+    def cdf(a):
+        nonlocal read
+        read += np.size(a)
+        return special.betainc(n - a, a + 1, 1.0 - t)
+
+    table = cdf(np.append(np.arange(0, k - 1, stride), k - 1))
+    read = 0
+    hits = np.searchsorted(table, v, side="right")
+    rows = np.flatnonzero(hits)
+    lo, hi, w = (hits[rows] - 1) * stride, np.minimum(hits[rows] * stride, k - 1), v[rows]
+    for _ in range((stride - 1).bit_length()):
+        mid = (lo + hi) // 2
+        below = cdf(mid) <= w
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    atoms = np.zeros(v.shape, dtype=np.int64)
+    atoms[rows] = hi
+    return atoms, read
+
+
 def central_difference(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
@@ -288,17 +320,25 @@ def subsample_rank_sum_law(groups):
     m, m1 = len(groups), len(groups) // 2
     picks = np.indices(sizes).reshape(m, -1)
     x = np.stack([np.asarray(g, dtype=float)[i] for g, i in zip(groups, picks)], axis=1)
-    below = np.count_nonzero(x[:, None, :] < x[:, :m1, None], axis=(1, 2))
-    equal = x[:, :, None] == x[:, None, :]
-    pairs_in_first = (np.count_nonzero(equal[:, :m1, :m1], axis=(1, 2)) - m1) // 2
-    base = m1 + below + pairs_in_first
-    # equal is symmetric, so each column's class counts are taken down axis 1,
-    # which numpy reduces faster than the short last axis
-    c, a = np.count_nonzero(equal, axis=1), np.count_nonzero(equal[:, :m1], axis=1)
-    # every column of a class carries the class's (a, c), so the sorted codes
+    # one sort per pick: a tie class is a run of equal sorted values, and
+    # class j of pick p is numbered p * m + j
+    order = np.argsort(x, axis=1)
+    ordered = np.take_along_axis(x, order, axis=1)
+    fresh = np.ones(x.shape, dtype=bool)
+    fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    cls = np.cumsum(fresh, axis=1) - 1 + m * np.arange(len(x))[:, None]
+    # per class: its size c, its members a among the first m1, and the
+    # number of values below it, which each of those a members counts
+    c = np.bincount(cls.ravel(), minlength=x.size).reshape(x.shape)
+    a = np.bincount(cls[order < m1], minlength=x.size).reshape(x.shape)
+    below = np.cumsum(c, axis=1) - c
+    base = m1 + (a * below).sum(axis=1) + (a * (a - 1) // 2).sum(axis=1)
+    # every member of a class carries the class's (a, c), so the sorted codes
     # name the pick's multiset of classes; each row is made one void scalar,
-    # which np.unique sorts far faster than rows along axis 0
-    codes = np.ascontiguousarray(np.sort(a * (m + 1) + c, axis=1))
+    # which np.unique sorts far faster than rows along axis 0, and the
+    # narrowest unsigned type that holds a code shortens it
+    codes = (a * (m + 1) + c).astype(np.min_scalar_type(m1 * (m + 1) + m)).ravel()[cls]
+    codes = np.ascontiguousarray(np.sort(codes, axis=1))
     rows, which = np.unique(codes.view(np.dtype((np.void, codes.strides[0]))).ravel(),
                             return_inverse=True)
     signatures = rows.view(codes.dtype).reshape(len(rows), m)

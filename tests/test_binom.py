@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 import orderpv
-from orderpv.binom import binom_upper_tail, binom_upper_tail_derivative
+from orderpv.binom import _check_p, _upper_tail, binom_upper_tail, binom_upper_tail_derivative
 
 from oracles import central_difference, exact_pmf, exact_upper_tail
 
@@ -109,6 +110,39 @@ class TestUpperTail:
         for n in (2**63, 2**70, 2**1100):
             with pytest.raises(ValueError, match=r"n must be below 2\*\*63"):
                 binom_upper_tail(n, 1, 0.5)
+
+
+class TestScalarPaths:
+    """The int-k tail and the 0-d probability check: the array paths' answers, faster."""
+
+    @pytest.mark.parametrize("n", [10, 1000, 2**53 - 1, 2**53 + 1, 2**62 + 3, 2**63 - 1])
+    def test_int_k_tail_is_the_int64_array_tail_bit_for_bit(self, n):
+        # float(k) and float(n - k + 1) are the doubles numpy makes of the
+        # ints, also above 2**53, where they round
+        p = np.array([0.0, 5e-324, 1e-12, 0.5, 1.0])
+        for k in (1, 2, n // 2, n):
+            array = _upper_tail(n, np.full(p.shape, k, dtype=np.int64), p)
+            direct = special.betainc(k, n - k + 1, p)
+            assert _upper_tail(n, k, p).tobytes() == array.tobytes() == direct.tobytes()
+            for i, q in enumerate(p):
+                assert np.float64(_upper_tail(n, k, float(q))).tobytes() == array[i].tobytes()
+
+    @staticmethod
+    def _outcome(p):
+        try:
+            return _check_p(p, "u").tobytes()
+        except ValueError as error:
+            return str(error)
+
+    @pytest.mark.parametrize("value", [np.nan, -0.0, 1.0, float(np.nextafter(1.0, 2.0)), -5e-324,
+                                       False, True, 0, 1, 2, -1])
+    def test_scalar_check_is_the_array_check(self, value):
+        # Python and numpy scalars and 0-d arrays take the one-comparison
+        # branch; a 1-element vector takes the array test, with the same answer
+        for p in (value, np.float64(value), np.array(value)):
+            assert np.ndim(p) == 0
+            assert self._outcome(p) == self._outcome(np.reshape(p, 1))
+        assert (self._outcome(value) == "u must lie in [0, 1]") == (not 0.0 <= value <= 1.0)
 
 
 class TestUpperTailDerivative:

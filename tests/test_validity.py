@@ -20,6 +20,7 @@ from orderpv.validity import (
 from oracles import (
     MAX_CHUNK_VALUES,
     adversarial_kernel_where,
+    atom_count_by_bisection,
     uniform_kernel,
     worst_case_orderstat_cdf,
 )
@@ -325,6 +326,59 @@ class TestAdversarialKernel:
         assert np.count_nonzero(v == edges[-1]) and np.count_nonzero(~atom)
         x = np.random.default_rng(n).random(v.size)
         assert np.array_equal(out[atom], x[atom] * t)
+
+    @pytest.mark.parametrize("n,k,t,cap", [(10**10, 5 * 10**9, 0.5, None),
+                                           (10**5, 5 * 10**4, None, 7),
+                                           (1000, 500, 0.3, 3), (37, 3, None, 2)])
+    def test_strided_rows_give_the_bisection_atoms(self, n, k, t, cap, monkeypatch):
+        # a row starts from the normal approximation and gallops, yet finds
+        # the A of a bisection between table entries, at every v below the
+        # last entry: uniforms, and P(A <= a) and its neighbours at the a
+        # next to the atoms those uniforms draw
+        if t is None:
+            t = solve_combiner(n, k).knee
+        if cap is not None:
+            monkeypatch.setattr(validity, "_CDF_ENTRIES", cap)
+        last, count = validity._atom_count(n, t, k)
+        v = last * np.random.default_rng(k).random(256)
+        drawn = count(v)
+        a = np.unique(np.clip(np.append(drawn - 1, drawn), 0, k - 1))
+        edges = special.betainc(n - a, a + 1, 1.0 - t)
+        v = np.concatenate([v, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+        v = v[v < last]
+        assert v.size > 256 + 2 * a.size
+        assert np.array_equal(count(v), atom_count_by_bisection(n, t, k, validity._CDF_ENTRIES, v)[0])
+
+    def test_strided_rows_read_a_third_of_the_bisection_tail_values(self, monkeypatch):
+        # at n = 10**10, k = 5 * 10**9, t = 0.5 the bisection reads 17 tail
+        # values a row, and the first guess is within a few atoms of A
+        n, k, t = 10**10, 5 * 10**9, 0.5
+        last, count = validity._atom_count(n, t, k)
+        v = np.random.default_rng(1).random(1024)
+        v = v[v < last]
+        read = []
+        tail = validity._upper_tail
+        monkeypatch.setattr(validity, "_upper_tail",
+                            lambda n, k, p: read.append(np.size(k)) or tail(n, k, p))
+        atoms = count(v)
+        expected, bisected = atom_count_by_bisection(n, t, k, validity._CDF_ENTRIES, v)
+        assert np.array_equal(atoms, expected)
+        assert bisected == 17 * v.size and 3 * sum(read) <= bisected, (sum(read), bisected)
+
+    @pytest.mark.parametrize("k,t", [(2**62 + 2**61, 0.7), (2**62 + 5, 0.5), (2**63 - 2, 0.999)])
+    def test_strided_rows_stay_in_their_gap_at_any_k(self, k, t, monkeypatch):
+        # at n = 2**63 - 1 a gap is about 2**62 atoms wide, so a midpoint
+        # l + h or a doubled step would overflow int64; each row's count a
+        # still has P(A <= a - 1) <= v and not P(A <= a) <= v on the tail
+        # the search reads, which is NaN at some of these parameters
+        monkeypatch.setattr(validity, "_CDF_ENTRIES", 3)
+        n = 2**63 - 1
+        last, count = validity._atom_count(n, t, k)
+        v = last * np.random.default_rng(k).random(20)
+        atoms = count(v)
+        assert ((atoms >= 1) & (atoms <= k - 1)).all()
+        assert (validity._upper_tail(n, n - (atoms - 1), 1.0 - t) <= v).all()
+        assert not (validity._upper_tail(n, n - atoms, 1.0 - t) <= v).any()
 
     def test_table_is_capped_at_large_n(self):
         # at n = 10**10 the table keeps every s-th of k = 5 * 10**9 entries:
