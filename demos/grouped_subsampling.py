@@ -5,6 +5,9 @@ shared random shift per block).  Picking one observation per block justifies
 an i.i.d. assumption for a base test; repeating the pick gives conditionally
 i.i.d. p-values; the corrected median collapses them into a single defensible
 number.  A null dataset and a signal dataset go through the same pipeline.
+`run_pipeline` returns the sample and its combination; the quartiles,
+maximum and histogram below come from the sample through numpy, as in the
+`subsample` command.
 
 Run:  python demos/grouped_subsampling.py
 """
@@ -31,12 +34,14 @@ def make_dataset(rng, signal=False):
 
 def show(title, result):
     print(title)
-    q1, q2, q3 = result.quartiles
-    print(f"  subsample p-values: quartiles {q1:.3f} {q2:.3f} {q3:.3f}, maximum {result.maximum:.3f}")
+    sample = result.sample
+    q1, q2, q3 = np.quantile(sample, [0.25, 0.5, 0.75])
+    print(f"  subsample p-values: quartiles {q1:.3f} {q2:.3f} {q3:.3f}, maximum {sample.max():.3f}")
     print(f"  combined summary (k = {result.combined.k}): {result.summary:.4f}"
           f"   simple bound: {result.combined.bound:.4f}")
-    width = max(result.bin_counts.max(), 1)
-    for left, right, count in zip(result.bin_edges[:-1], result.bin_edges[1:], result.bin_counts):
+    counts, edges = np.histogram(sample, 10, range=(0.0, 1.0))
+    width = max(counts.max(), 1)
+    for left, right, count in zip(edges[:-1], edges[1:], counts):
         bar = "#" * int(round(40 * count / width))
         print(f"  [{left:4.2f},{right:4.2f}) {count:>4} {bar}")
     print()
@@ -46,11 +51,11 @@ rng = np.random.default_rng(33)
 
 null_data = make_dataset(rng)
 show("NULL: all blocks share one distribution",
-     run_pipeline(null_data, rank_sum_test, n=400, seed=1, bins=10))
+     run_pipeline(null_data, rank_sum_test, n=400, seed=1))
 
 signal_data = make_dataset(rng, signal=True)
 show("SIGNAL: the first half of the blocks runs low (rank-sum should notice)",
-     run_pipeline(signal_data, rank_sum_test, n=400, seed=2, bins=10))
+     run_pipeline(signal_data, rank_sum_test, n=400, seed=2))
 
 print("The same data-dependent pick would be easy to cherry-pick once; the")
 print("combined summary reflects all 400 re-picks at once.")

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from .bcmc import ChainConfig, serial_pvalue
+from .binom import _check_n
 from .combine import combine_pvalues
 from .correction import CombinerSpec, envelope
 from .rngs import check_seed
@@ -35,6 +36,10 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 SEED_ENV_VAR = "ORDERPV_SEED"
+
+# Most histogram bins `subsample` accepts: np.histogram then peaks at about
+# 32 MB, for bins + 1 float64 edges and bins int64 counts with their copies.
+MAX_BINS = 2**20
 
 
 def _resolve_seed(arg_seed):
@@ -259,13 +264,18 @@ def _cmd_subsample(args):
     ranksum = args.test == "ranksum"
     data = GroupedDataset(read_grouped_csv(args.file, args.group_col, _score if ranksum else _bits))
     test = rank_sum_test if ranksum else make_bcmc_test(chain_length=args.chain_length)
-    result = run_pipeline(data, test, args.n, k=args.k, seed=args.seed, bins=args.bins)
-    histogram = ("bin_left,bin_right,count",
-                 zip(result.bin_edges[:-1], result.bin_edges[1:], map(int, result.bin_counts)))
+    bins = _check_n(args.bins, "bins")
+    if bins > MAX_BINS:
+        raise ValueError(f"at most MAX_BINS = {MAX_BINS} histogram bins are supported, got {bins}")
+    result = run_pipeline(data, test, args.n, k=args.k, seed=args.seed)
+    sample = result.sample
+    counts, edges = np.histogram(sample, bins, range=(0.0, 1.0))
+    histogram = ("bin_left,bin_right,count", zip(edges[:-1], edges[1:], map(int, counts)))
     report = dict(
         metadata=[("command", "subsample"), ("seed", args.seed), ("test", args.test)],
         results=[("n", args.n), ("k", result.combined.k), ("m_groups", data.m),
-                 ("quartiles", result.quartiles), ("maximum", result.maximum),
+                 ("quartiles", tuple(np.quantile(sample, [0.25, 0.5, 0.75]).tolist())),
+                 ("maximum", float(sample.max())),
                  ("order_stat", result.combined.order_stat), ("summary", result.summary),
                  ("bound", result.combined.bound)],
     )

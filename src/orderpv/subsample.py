@@ -17,13 +17,13 @@ in [0, 1] per row.  Deterministic tests simply ignore `rng`.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, floor
+from math import comb
 
 import numpy as np
 
 from .bcmc import _as_binary, _serial_pvalue_rng, checkerboard_score
 from .binom import _check_n, _check_nk
-from .combine import CombineResult, _combine, default_k
+from .combine import CombineResult, _combine, _kth_smallest, default_k
 from .rngs import CHUNK, blocks
 
 
@@ -51,20 +51,22 @@ class GroupedDataset:
             raise ValueError("need at least one group")
         blocks = []
         for j, g in enumerate(self.groups):
-            if len(g) < 1:
-                raise ValueError(f"group {j} is empty")
             try:
                 block = np.asarray(g)
             except ValueError:
                 raise ValueError(f"group {j}: observations of different shapes") from None
+            dims = block.shape
+            # a number, None or a string is one 0-d value, not a group
+            if not dims:
+                raise ValueError(f"group {j} is not a sequence of observations: {type(g).__name__}")
+            if dims[0] < 1:
+                raise ValueError(f"group {j} is empty")
             # group 0 sets the shape and kind that every later group is held
             # to; a group of group 0's dtype has its kind
             if not blocks:
-                first, shape = block, block.shape[1:]
-            elif block.shape[1:] != shape:
-                raise ValueError(
-                    f"group {j}: observations of shape {block.shape[1:]}, group 0 has {shape}"
-                )
+                first, shape = block, dims[1:]
+            elif dims[1:] != shape:
+                raise ValueError(f"group {j}: observations of shape {dims[1:]}, group 0 has {shape}")
             elif block.dtype != first.dtype and _kind(block) != _kind(first):
                 raise ValueError(
                     f"group {j}: observations of dtype {block.dtype}, group 0 has {first.dtype}"
@@ -156,92 +158,28 @@ def subsample_pvalues(data, test, n, seed):
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Summary p-value with the subsample distribution behind it."""
+    """Summary p-value, its combination and the subsample behind it."""
 
     summary: float
     combined: CombineResult
     sample: np.ndarray
-    quartiles: tuple
-    maximum: float
-    bin_edges: np.ndarray
-    bin_counts: np.ndarray
 
 
-def run_pipeline(data, test, n, k=None, seed=0, bins=20):
-    """Subsample n p-values, combine them, and bin the sample for reporting.
+def run_pipeline(data, test, n, k=None, seed=0):
+    """Subsample n p-values and combine them through their k-th smallest value.
 
-    The histogram covers [0, 1] in `bins` equal cells and stands in for a
-    figure; quartiles and the maximum summarize the subsample distribution.
-    More than `MAX_BINS` bins, or a given k outside 1..n, are refused before
-    anything is drawn.
-
-    One sort feeds the combined value and every summary.  The k-th sorted
-    value is the order statistic `combine_pvalues` would select, and the
-    sample was checked block by block as it was drawn, so it is neither
-    checked nor partitioned again.  The maximum is the last sorted value,
-    the bin counts are differences of the sorted positions of the bin
-    edges, and the quartiles interpolate between neighbouring sorted
-    values.  Each equals what `combine_pvalues`, `np.quantile`,
-    `np.histogram` and ``sample.max()`` give, bit for bit, without
-    rescanning the sample four times; only a sample holding both 0.0 and
-    -0.0 may give its k-th value the other zero's sign, which compares
-    equal.  The edges are a fresh copy of the cached edges of the last bin
-    count, so each result owns writable edges.  On a 2-core x86 host, at
-    n = 200 on 12 groups with `rank_sum_test` and 20 bins, a call took
-    about 115 µs on a built `GroupedDataset`, 26–30 µs of it for the
-    report.
+    A given k outside 1..n is refused before anything is drawn.  The sample
+    was checked block by block as it was drawn, so it is not checked again:
+    its k-th value is taken by the same partition `combine_pvalues` makes,
+    and the summary equals ``combine_pvalues(sample, k).summary``.  The
+    subsample distribution is left to the caller: the `subsample` command
+    prints its quartiles, maximum and histogram from `sample` with
+    ``np.quantile``, ``max`` and ``np.histogram``.
     """
-    bins = _check_n(bins, "bins")
-    if bins > MAX_BINS:
-        raise ValueError(f"at most MAX_BINS = {MAX_BINS} histogram bins are supported, got {bins}")
     k = default_k(n) if k is None else _check_nk(n, k)[1]
     sample = subsample_pvalues(data, test, n, seed)
-    ordered = np.sort(sample)
-    combined = _combine(sample.size, k, float(ordered[k - 1]))
-    edges = _bin_edges(bins).copy()
-    # every value lies in [0, 1]: bin i holds edges[i] <= x < edges[i + 1],
-    # and the last bin holds 1.0 too, as in np.histogram
-    at = ordered.searchsorted(edges)
-    at[-1] = ordered.size
-    return PipelineResult(
-        summary=combined.summary,
-        combined=combined,
-        sample=sample,
-        quartiles=_quartiles(ordered),
-        maximum=float(ordered[-1]),
-        bin_edges=edges,
-        bin_counts=at[1:] - at[:-1],
-    )
-
-
-@lru_cache(maxsize=1)
-def _bin_edges(bins):
-    """``np.linspace(0, 1, bins + 1)``, read-only; only the last `bins` is kept."""
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    edges.flags.writeable = False
-    return edges
-
-
-def _quartiles(ordered):
-    """``np.quantile(ordered, [0.25, 0.5, 0.75])`` of a sorted sample, as floats.
-
-    numpy's default (linear) method in the same float operations: at the
-    virtual index (n - 1) q, with a and b the sorted values on either side
-    of it and g its fractional part, a + (b - a) g, or b - (b - a) (1 - g)
-    when g >= 0.5.
-    """
-    last = ordered.size - 1
-    out = []
-    for q in (0.25, 0.5, 0.75):
-        index = last * q
-        lo = floor(index)
-        if lo >= last:  # a single value
-            out.append(float(ordered[last]))
-            continue
-        g = index - lo
-        a, b = float(ordered[lo]), float(ordered[lo + 1])
-        out.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
-    return tuple(out)
+    combined = _combine(sample.size, k, _kth_smallest(sample, k))
+    return PipelineResult(summary=combined.summary, combined=combined, sample=sample)
 
 
 # Most repetitions one subsample run accepts: its float64 sample is 1 GiB.
@@ -251,11 +189,6 @@ MAX_REPETITIONS = 2**27
 # Most bytes of one block's int64 pick indices and picks, min(n, CHUNK) rows
 # of m groups each, checked before anything is drawn.
 MAX_BLOCK_BYTES = 2**30
-
-# Most histogram bins `run_pipeline` accepts; the report then holds bins + 1
-# float64 edges, as many int64 sorted positions and bins int64 counts, about
-# 24 MB here, and the cached edges of the last bin count 8 MB more.
-MAX_BINS = 2**20
 
 # Largest group count the exact rank-sum test accepts.  Its cached CDF table
 # holds (m/2 + 1) * (m(m+1)/2 + 1) float64 entries: 16 MB and about 0.2 s to

@@ -424,10 +424,68 @@ class TestSubsample:
 
         monkeypatch.setattr(cli, "rank_sum_test", never_called)
         path = write_grouped(tmp_path / "g.csv", [("a", 0.1), ("b", 0.5), ("c", 0.7)])
-        for bins in (str(subsample.MAX_BINS + 1), "0", "-1"):
+        for bins in (str(cli.MAX_BINS + 1), "0", "-1"):
             code, out, err = run_cli(capsys, "subsample", path, "--group-col", "day", "--n", "5",
                                      "--bins", bins)
             assert code == 2 and out == "" and "bins" in err
+
+    def test_bins_are_checked_before_drawing(self, tmp_path, capsys, monkeypatch):
+        # the cap is lowered, so that a run at it stays small; above it, or
+        # below one, no repetition runs
+        def never_called(picks, rng):
+            raise AssertionError("the base test ran")
+
+        assert cli.MAX_BINS == 2**20
+        monkeypatch.setattr(cli, "MAX_BINS", 8)
+        path = write_grouped(tmp_path / "g.csv", [("a", 0.1), ("b", 0.5), ("c", 0.7)])
+        argv = ["subsample", path, "--group-col", "day", "--n", "10", "--bins"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "rank_sum_test", never_called)
+            code, out, err = run_cli(capsys, *argv, "9")
+            assert (code, out) == (2, "")
+            assert err == "error: at most MAX_BINS = 8 histogram bins are supported, got 9\n"
+            for bins in ("0", "-1"):
+                code, out, err = run_cli(capsys, *argv, bins)
+                assert (code, out) == (2, "")
+                assert err == f"error: bins must be an integer >= 1, got {int(bins)!r}\n"
+        hist = tmp_path / "h.csv"
+        code, _, _ = run_cli(capsys, *argv, "8", "--hist-out", str(hist))
+        assert code == 0
+        rows = [line.split(",") for line in hist.read_text().splitlines()[1:]]
+        assert len(rows) == 8 and sum(int(count) for _, _, count in rows) == 10
+
+    @pytest.mark.parametrize("kind", ["ranksum", "bcmc"])
+    def test_report_is_numpy_of_the_pipeline_sample(self, tmp_path, capsys, kind):
+        # the printed quartiles and maximum, at round-trip precision, and the
+        # histogram file are np.quantile, max and np.histogram of the sample
+        # that run_pipeline draws from the same data and seed
+        rng = np.random.default_rng(3)
+        if kind == "ranksum":
+            rows, header = self.grouped_rows(rng), "day,score"
+            convert, test = cli._score, subsample.rank_sum_test
+        else:
+            rows = [(f"d{d}", *(rng.random(4) < 0.5).astype(int)) for d in range(6) for _ in range(2)]
+            header = "day,s1,s2,s3,s4"
+            convert, test = cli._bits, subsample.make_bcmc_test(chain_length=30)
+        path = write_grouped(tmp_path / "g.csv", rows, header=header)
+        hist = tmp_path / "h.csv"
+        code, out, _ = run_cli(capsys, "subsample", path, "--group-col", "day", "--test", kind,
+                               "--n", "60", "--seed", "4", "--chain-length", "30", "--bins", "7",
+                               "--precision", "17", "--hist-out", str(hist))
+        assert code == 0
+        data = subsample.GroupedDataset(cli.read_grouped_csv(path, "day", convert))
+        sample = subsample.run_pipeline(data, test, 60, seed=4).sample
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        assert printed["quartiles"] == " ".join(
+            format(q, ".17g") for q in np.quantile(sample, [0.25, 0.5, 0.75]))
+        assert printed["maximum"] == format(sample.max(), ".17g")
+        counts, edges = np.histogram(sample, 7, range=(0.0, 1.0))
+        lines = hist.read_text().splitlines()
+        assert lines == ["bin_left,bin_right,count"] + [
+            f"{left:.10g},{right:.10g},{count}"
+            for left, right, count in zip(edges[:-1], edges[1:], counts)]
+        assert lines[1].startswith("0,") and lines[-1].split(",")[1] == "1"
+        assert counts.sum() == 60
 
     def test_non_finite_score_names_line(self, tmp_path, capsys):
         for bad in ("nan", "inf", "-inf"):

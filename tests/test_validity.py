@@ -569,12 +569,15 @@ class TestCheckValidity:
         assert seen == [1, 2, 3, 4, 5]
         assert report.reps == 5 * CHUNK
 
-    # threads= is gone: any thread count is an unexpected keyword
-    @pytest.mark.parametrize("threads", [0, -1])
+    # threads= is gone from both entry points: any thread count is an
+    # unexpected keyword, for check_validity and for tightness_scan over it
+    @pytest.mark.parametrize("threads", [0, -1, -3])
     def test_rejects_thread_count_below_one(self, threads):
         cfg = SimConfig(n=4, k=2, reps=100, seed=0)
         with pytest.raises(TypeError, match="threads"):
             check_validity(cfg, lambda u: u, uniform_kernel(4), threads=threads)
+        with pytest.raises(TypeError, match="threads"):
+            tightness_scan(4, 2, 0.5, 100, 0, threads=threads)
 
     def test_one_draw_matrix_per_block(self):
         # only `uniform_kernel` draws a (CHUNK, n) matrix, the block's only
@@ -738,8 +741,3 @@ class TestTightnessScan:
             tightness_scan(4, 2, 0.0, 100, 0)
         with pytest.raises(ValueError):
             tightness_scan(4, 2, 1.1, 100, 0)
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_rejects_thread_count_below_one(self, threads):
-        with pytest.raises(TypeError, match="threads"):
-            tightness_scan(4, 2, 0.5, 100, 0, threads=threads)
